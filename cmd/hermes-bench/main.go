@@ -29,10 +29,10 @@
 // speedups — the committed BENCH_node.json tracks the hot-path trajectory
 // this way (see EXPERIMENTS.md).
 //
-// -bench-workload benchmarks workload generation alone — the LoadDriver
-// loop, the Zipf+exponential draw pair and the log-normal jitter
-// multiplier — on both the legacy (stdlib-algorithm) and randgen
-// generators, reporting median-of-reps walls and speedups; the committed
+// -bench-workload benchmarks workload generation alone — the
+// Zipf+exponential draw pair and the log-normal jitter multiplier — on the
+// randgen samplers against the stdlib algorithms they replaced,
+// reporting median-of-reps walls and speedups; the committed
 // BENCH_workload.json is its output (see EXPERIMENTS.md).
 //
 // -bench-scaling measures the parallel cluster engine's multi-core
@@ -74,7 +74,7 @@ func run() error {
 	nodeAllocators := flag.String("node-allocators", "glibc,jemalloc,tcmalloc,hermes", "comma-separated allocator kinds for -bench-node")
 	nodeService := flag.String("node-service", "redis", "service kind for -bench-node: redis or rocksdb")
 	nodeBaseline := flag.String("node-baseline", "", "embed a previous -bench-node output as the baseline and compute speedups")
-	benchWorkload := flag.String("bench-workload", "", "benchmark the workload generators (legacy vs randgen) and write the JSON trajectory to this file")
+	benchWorkload := flag.String("bench-workload", "", "benchmark the workload samplers (stdlib vs randgen) and write the JSON trajectory to this file")
 	workloadDraws := flag.Int64("workload-draws", 20_000_000, "draws per generator measurement for -bench-workload")
 	workloadReps := flag.Int("workload-reps", 3, "repetitions per measurement for -bench-workload (median reported)")
 	benchScaling := flag.String("bench-scaling", "", "measure the parallel engine's multi-core scaling curve and write the JSON trajectory to this file")

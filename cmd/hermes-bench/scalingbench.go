@@ -14,12 +14,13 @@ import (
 )
 
 // -bench-scaling measures the parallel cluster engine's multi-core scaling
-// curve: for each fleet size, the identical workload runs once per
-// GOMAXPROCS point and the file records wall clock, aggregate throughput
-// and speedup versus the 1-core point. Before timing anything, each fleet
-// verifies that the parallel engine's report is bit-identical to the
-// sequential engine's — the scaling curve is only worth committing if the
-// virtual-time results it belongs to are the contractual ones.
+// curve: for each fleet size, the identical workload runs through
+// Cluster.Run once per GOMAXPROCS point — timing the engine Run dispatches
+// to at that core count — and the file records wall clock, aggregate
+// throughput and speedup versus the 1-core point. Before timing anything,
+// each fleet verifies that the parallel engine's report is bit-identical to
+// the sequential oracle's — the scaling curve is only worth committing if
+// the virtual-time results it belongs to are the contractual ones.
 //
 // The file also records host_cpus and marks every point whose GOMAXPROCS
 // exceeds the host's CPU count as saturated: on a 2-CPU container the 4-
@@ -134,17 +135,18 @@ func runScalingBench(cfg scalingBenchConfig) error {
 
 		// Equivalence first, with raw (exact) digests: the timed points
 		// below only count if the parallel engine still reproduces the
-		// sequential engine's report bit for bit.
+		// sequential oracle's report bit for bit.
 		fl := scalingFleet{Nodes: nodes, Shards: ccfg.Shards}
 		{
-			c := ccfg
-			c.Stats = hermes.StatsRaw
-			cl := hermes.NewCluster(c)
-			seqRep := cl.RunSequential(load)
-			cl.Close()
-			cl = hermes.NewCluster(c)
-			parRep := cl.RunParallel(load)
-			cl.Close()
+			run := func(sequential bool) hermes.ClusterReport {
+				c := ccfg
+				c.Stats = hermes.StatsRaw
+				c.Sequential = sequential
+				cl := hermes.NewCluster(c)
+				defer cl.Close()
+				return cl.Run(load)
+			}
+			seqRep, parRep := run(true), run(false)
 			fl.BitIdentical = reflect.DeepEqual(seqRep, parRep)
 			if !fl.BitIdentical {
 				return fmt.Errorf("bench-scaling %d nodes: parallel report differs from sequential:\nseq %v\npar %v",
@@ -163,19 +165,19 @@ func runScalingBench(cfg scalingBenchConfig) error {
 			for i := range walls {
 				cl := hermes.NewCluster(c)
 				start := time.Now()
-				rep := cl.RunParallel(load)
+				rep := cl.Run(load)
 				walls[i] = ms(time.Since(start))
 				cl.Close()
 				if rep.Requests != cfg.requests {
 					return fmt.Errorf("bench-scaling served %d requests, want %d", rep.Requests, cfg.requests)
 				}
 			}
-			med := stats.Median(walls)
+			med, lo, hi := stats.MedianSpread(walls)
 			pt := scalingPoint{
 				GoMaxProcs: n,
 				WallMS:     med,
-				WallMinMS:  walls[0],
-				WallMaxMS:  walls[len(walls)-1],
+				WallMinMS:  lo,
+				WallMaxMS:  hi,
 				ReqsPerSec: float64(cfg.requests) / (med / 1000),
 				Saturated:  n > hostCPUs,
 			}

@@ -15,14 +15,14 @@ import (
 )
 
 // -bench-workload measures workload *generation* alone — no simulation —
-// on both generator backends, at three altitudes:
+// as the randgen samplers against the math/rand/v2 stdlib algorithms they
+// replaced ("legacy" entries), for two draws:
 //
-//   - driver:   the full LoadDriver.Next loop (key + op + gap per request),
-//     the exact cost Cluster.Run pays to stream its load;
-//   - zipf+exp: the per-request draw pair (Zipf key, exponential gap) —
-//     ISSUE 4's ≥3× acceptance gate;
+//   - zipf+exp: the per-request draw pair (Zipf key, exponential gap);
 //   - jitter:   the log-normal latency multiplier exp(σ·Z), drawn once per
 //     served request by workload.Jitter.
+//
+// The full LoadDriver.Next loop is benchmarked by BenchmarkWorkloadDriver.
 //
 // Each measurement runs `-workload-reps` times (median reported), so one
 // invocation of the harness produces the committed median-of-N trajectory
@@ -69,28 +69,6 @@ func runWorkloadBench(cfg workloadBenchConfig) error {
 	// load's skew and the default cost model's jitter spread.
 	zipfS := hermes.DefaultLoadConfig().ZipfS
 	jitterSigma := kernel.DefaultConfig().Costs.JitterSigma
-
-	driver := func(gen hermes.Generator) func() time.Duration {
-		return func() time.Duration {
-			load := hermes.DefaultLoadConfig()
-			load.Requests = cfg.draws
-			load.Seed = cfg.seed
-			load.Generator = gen
-			d := hermes.NewLoadDriver(load) // table build outside the timer
-			var sink int64
-			start := time.Now()
-			for {
-				r, ok := d.Next()
-				if !ok {
-					break
-				}
-				sink += r.Key
-			}
-			wall := time.Since(start)
-			sinkGuard += float64(sink)
-			return wall
-		}
-	}
 
 	keys := hermes.DefaultLoadConfig().Keys
 	zipfExpLegacy := func() time.Duration {
@@ -149,7 +127,6 @@ func runWorkloadBench(cfg workloadBenchConfig) error {
 		name         string
 		legacy, fast func() time.Duration
 	}{
-		{"driver", driver(hermes.GenLegacy), driver(hermes.GenFast)},
 		{"zipf+exp", zipfExpLegacy, zipfExpFast},
 		{"jitter", jitterLegacy, jitterFast},
 	}

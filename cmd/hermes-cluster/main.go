@@ -25,19 +25,20 @@
 // preset onto a CI budget. -seed overrides the file's seed when given
 // explicitly.
 //
-// -parallel toggles the partitioned per-node engine (on by default; the
-// sequential escape hatch executes in global arrival order and produces a
-// bit-identical report). -stats selects exact raw-sample digests or
-// bounded-memory streaming histograms. -json emits the machine-readable
-// reports instead of tables. -bench times the seed engine
-// (sequential+raw) against the overhauled engine (parallel+histogram) on
-// the identical scenario, verifies engine equivalence, measures the
-// scenario adapter's overhead on the single-phase path, and writes the
-// trajectory to the given JSON file; every wall is the median of
-// -bench-reps repetitions with the min/max spread recorded. Bench mode
-// pins GOMAXPROCS to 1 (override with -gomaxprocs) so the committed
-// numbers are single-core apples-to-apples — the multi-core story is
-// hermes-bench -bench-scaling's job. -bench-against gates the run
+// -parallel toggles the per-node engine (on by default; -parallel=false
+// runs the sequential oracle, which executes in global arrival order and
+// produces a bit-identical report). -stats selects exact raw-sample
+// digests or bounded-memory streaming histograms. -json emits the
+// machine-readable reports instead of tables. -bench times Cluster.Run
+// three ways on the identical load — baseline (sequential+raw), parity
+// (parallel+raw) and new (parallel+histogram) — verifies that the raw
+// reports are bit-identical, and writes the trajectory to the given JSON
+// file; every wall is the median of -bench-reps repetitions with the
+// min/max spread recorded. Bench mode pins GOMAXPROCS to 1 (override with
+// -gomaxprocs) so the committed numbers are single-core apples-to-apples —
+// the multi-core story is hermes-bench -bench-scaling's job. At one core
+// both parallel entries take Run's flat partitioned path. -bench-against
+// gates the run
 // against a committed bench file, failing when the new engine's
 // within-run speedup over the sequential baseline drops more than
 // -bench-gate-pct below the committed speedup (a host-speed-invariant
@@ -87,7 +88,7 @@ func run() error {
 	daemon := flag.Bool("daemon", false, "run the monitor daemon per node (hermes only)")
 	seed := flag.Uint64("seed", 1, "determinism seed")
 	perShard := flag.Bool("per-shard", false, "print per-shard digests")
-	parallel := flag.Bool("parallel", true, "run nodes on parallel goroutines (off = sequential escape hatch)")
+	parallel := flag.Bool("parallel", true, "run nodes on parallel goroutines (off = the sequential oracle)")
 	statsMode := flag.String("stats", "raw", "latency digest backend: raw (exact) or histogram (streaming, bounded memory)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON reports instead of tables")
 	benchPath := flag.String("bench", "", "benchmark seed engine vs overhauled engine and write the JSON trajectory to this file")
@@ -400,19 +401,15 @@ type benchRun struct {
 	Requests  int64   `json:"requests"`
 }
 
-// benchEntry compares the seed engine against the overhauled engine for
-// one allocator on the identical (config, load) pair.
+// benchEntry compares the sequential oracle against the parallel engine
+// for one allocator on the identical (config, load) pair.
 type benchEntry struct {
 	Allocator  string   `json:"allocator"`
-	Baseline   benchRun `json:"baseline"` // direct sequential engine, raw samples (the seed hot path)
-	Parity     benchRun `json:"parity"`   // direct parallel engine, raw samples (bit-identity check vs baseline)
-	Adapter    benchRun `json:"adapter"`  // Run: the scenario layer's single-phase path, sequential+raw
+	Baseline   benchRun `json:"baseline"` // sequential engine, raw samples (the seed hot path)
+	Parity     benchRun `json:"parity"`   // parallel engine, raw samples (bit-identity check vs baseline)
 	New        benchRun `json:"new"`      // parallel engine, streaming histograms (the overhauled default)
 	Equivalent bool     `json:"equivalent"`
 	Speedup    float64  `json:"speedup"` // baseline wall / new wall
-	// AdapterOverheadPct is the scenario layer's cost on the single-phase
-	// path: (adapter − baseline) / baseline wall clock, in percent.
-	AdapterOverheadPct float64 `json:"adapter_overhead_pct"`
 }
 
 // benchFile is the -bench JSON document.
@@ -453,16 +450,16 @@ func runBench(cfg hermes.ClusterConfig, load hermes.LoadConfig, kinds []hermes.A
 		Seed:       cfg.Seed,
 	}
 
-	timed := func(engine string, sequential bool, mode hermes.StatsMode, drive func(*hermes.Cluster) hermes.ClusterReport) (hermes.ClusterReport, benchRun) {
+	timed := func(engine string, sequential bool, mode hermes.StatsMode) (hermes.ClusterReport, benchRun) {
 		c := cfg
-		c.Sequential = sequential // governs Run's dispatch; the direct drives ignore it
+		c.Sequential = sequential
 		c.Stats = mode
 		var rep hermes.ClusterReport
 		walls := make([]float64, opts.reps)
 		for i := range walls {
 			start := time.Now()
 			cl := hermes.NewCluster(c)
-			rep = drive(cl) // deterministic: every rep yields the identical report
+			rep = cl.Run(load) // deterministic: every rep yields the identical report
 			cl.Close()
 			walls[i] = ms(time.Since(start))
 		}
@@ -481,46 +478,29 @@ func runBench(cfg hermes.ClusterConfig, load hermes.LoadConfig, kinds []hermes.A
 			Requests:  rep.Requests,
 		}
 	}
-	seq := func(cl *hermes.Cluster) hermes.ClusterReport { return cl.RunSequential(load) }
-	par := func(cl *hermes.Cluster) hermes.ClusterReport { return cl.RunParallel(load) }
-	adapter := func(cl *hermes.Cluster) hermes.ClusterReport { return cl.Run(load) }
-
 	for _, kind := range kinds {
 		cfg.Allocator = kind
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
 		fmt.Printf("bench %s: %d requests on %d nodes...\n", kind, load.Requests, cfg.Nodes)
-		baseRep, base := timed("sequential", true, hermes.StatsRaw, seq)
-		parRep, parity := timed("parallel", false, hermes.StatsRaw, par)
-		adRep, adapted := timed("scenario-adapter", true, hermes.StatsRaw, adapter)
-		_, novel := timed("parallel", false, hermes.StatsHistogram, adapter)
+		baseRep, base := timed("sequential", true, hermes.StatsRaw)
+		parRep, parity := timed("parallel", false, hermes.StatsRaw)
+		_, novel := timed("parallel", false, hermes.StatsHistogram)
 		entry := benchEntry{
-			Allocator:          string(kind),
-			Baseline:           base,
-			Parity:             parity,
-			Adapter:            adapted,
-			New:                novel,
-			Equivalent:         reflect.DeepEqual(baseRep, parRep) && reflect.DeepEqual(baseRep, adRep),
-			Speedup:            base.WallMS / novel.WallMS,
-			AdapterOverheadPct: (adapted.WallMS - base.WallMS) / base.WallMS * 100,
+			Allocator:  string(kind),
+			Baseline:   base,
+			Parity:     parity,
+			New:        novel,
+			Equivalent: reflect.DeepEqual(baseRep, parRep),
+			Speedup:    base.WallMS / novel.WallMS,
 		}
 		if !entry.Equivalent {
-			return fmt.Errorf("engine equivalence violated for %s:\nseq     %v\npar     %v\nadapter %v",
-				kind, baseRep.Cluster, parRep.Cluster, adRep.Cluster)
-		}
-		// The adapter's budget is ≤5%; the hard gate sits at 15% — on medians
-		// of -bench-reps runs — so single rep wall-clock noise (observed at
-		// ±10% and worse on shared hosts) can't flap the benchmark, while a
-		// real regression still fails loudly.
-		if entry.AdapterOverheadPct > 15 {
-			return fmt.Errorf("scenario adapter overhead %.1f%% for %s exceeds the hard 15%% gate (budget 5%%): baseline %.1f ms, adapter %.1f ms (medians of %d)",
-				entry.AdapterOverheadPct, kind, base.WallMS, adapted.WallMS, opts.reps)
+			return fmt.Errorf("engine equivalence violated for %s:\nseq %v\npar %v",
+				kind, baseRep.Cluster, parRep.Cluster)
 		}
 		fmt.Printf("  baseline (sequential+raw)  %8.1f ms  [%.1f–%.1f, %d reps]\n", base.WallMS, base.WallMinMS, base.WallMaxMS, base.Reps)
 		fmt.Printf("  parity   (parallel+raw)    %8.1f ms  [%.1f–%.1f]  bit-identical report\n", parity.WallMS, parity.WallMinMS, parity.WallMaxMS)
-		fmt.Printf("  adapter  (scenario+raw)    %8.1f ms  [%.1f–%.1f]  bit-identical report, overhead %+.1f%%\n",
-			adapted.WallMS, adapted.WallMinMS, adapted.WallMaxMS, entry.AdapterOverheadPct)
 		fmt.Printf("  new      (parallel+hist)   %8.1f ms  [%.1f–%.1f]  speedup %.2fx\n", novel.WallMS, novel.WallMinMS, novel.WallMaxMS, entry.Speedup)
 		out.Entries = append(out.Entries, entry)
 	}

@@ -130,9 +130,6 @@ type (
 	LoadConfig = workload.LoadConfig
 	LoadDriver = workload.LoadDriver
 	Request    = workload.Request
-	// Generator selects LoadDriver's sampling machinery (see GenFast and
-	// GenLegacy).
-	Generator = workload.Generator
 
 	// Scenario is the declarative description of a whole cluster
 	// experiment: ordered phases of traffic classes plus a virtual-time
@@ -240,15 +237,6 @@ const (
 const (
 	PressureAnon = workload.PressureAnon
 	PressureFile = workload.PressureFile
-)
-
-// Workload generator kinds for LoadConfig.Generator: GenFast is the
-// randgen subsystem (splittable streams, alias-table Zipf, ziggurat
-// variates); GenLegacy is the stdlib-algorithm escape hatch, also
-// selectable process-wide with HERMES_WORKLOAD=legacy.
-const (
-	GenFast   = workload.GenFast
-	GenLegacy = workload.GenLegacy
 )
 
 // Rate-shape kinds for ScenarioPhase.Shape.

@@ -116,7 +116,7 @@ func Load(path string) (*Campaign, error) {
 
 func parse(data []byte, baseDir string) (*Campaign, error) {
 	var spec Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
+	if err := workload.UnmarshalStrict(data, &spec); err != nil {
 		return nil, fmt.Errorf("campaign: spec JSON: %w", err)
 	}
 	if spec.Name == "" {

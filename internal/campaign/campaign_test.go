@@ -202,6 +202,16 @@ func TestLoadRejects(t *testing.T) {
 		{"bad scale", func(s string) string {
 			return strings.Replace(s, `"metrics_period": "20ms",`, `"scale": -1, "metrics_period": "20ms",`, 1)
 		}, "scale must be positive"},
+		// Every spec layer decodes strictly: an unknown or retired key fails
+		// by name instead of silently running the default.
+		{"class generator", func(s string) string {
+			return strings.Replace(s, `"value_bytes": 1024}`, `"value_bytes": 1024, "generator": "legacy"}`, 1)
+		}, `unknown field "generator"`},
+		{"scenario typo", func(s string) string { return strings.Replace(s, `"seed": 7,`, `"sede": 7,`, 1) }, `unknown field "sede"`},
+		{"cluster typo", func(s string) string { return strings.Replace(s, `"mem_gb": 2`, `"memgb": 2`, 1) }, `unknown field "memgb"`},
+		{"campaign typo", func(s string) string {
+			return strings.Replace(s, `"metrics_period": "20ms",`, `"metric_period": "20ms",`, 1)
+		}, `unknown field "metric_period"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"github.com/hermes-sim/hermes/internal/alloc"
 	"github.com/hermes-sim/hermes/internal/alloc/glibcmalloc"
@@ -98,20 +97,19 @@ type Config struct {
 	// Seed derives every node's kernel seed; one seed reproduces the whole
 	// cluster.
 	Seed uint64
-	// Sequential forces Run onto the single-goroutine engine that executes
-	// requests in global arrival order — the escape hatch for debugging and
-	// for streaming the load with O(1) workload memory. The default parallel
-	// engine partitions the stream per node and produces a bit-identical
-	// Report (nodes are causally independent after routing).
+	// Sequential forces Run and RunScenario onto the single-goroutine engine
+	// that executes requests in global arrival order, streaming the load
+	// with O(1) workload memory — the oracle the default parallel engine is
+	// verified against. Both produce a bit-identical Report (nodes are
+	// causally independent after routing).
 	Sequential bool
 	// Stats selects the latency-digest backend; empty means StatsRaw.
 	Stats StatsMode
 	// Metrics, when non-nil, collects a per-virtual-window time series
 	// (latency quantiles, reclaim/swap activity, RSS, resilience counters,
 	// controller actions) during scenario runs; the series lands in
-	// ScenarioReport.Metrics. Collection rides the scenario path only —
-	// Cluster.Run is covered via its lifted single-phase scenario, but the
-	// direct RunSequential/RunParallel escape hatches do not collect.
+	// ScenarioReport.Metrics. Cluster.Run collects too (it runs a lifted
+	// single-phase scenario), but its flat Report does not carry the series.
 	Metrics *metrics.Config
 }
 
@@ -783,22 +781,17 @@ func (c *Cluster) newRunState() *runState {
 	return st
 }
 
-// serve executes one request on its shard's node: run background machinery
-// up to the arrival, measure queueing delay, perform the operation, and
-// occupy the node for the raw service time. Each node is modelled as a
-// single-threaded server (the event-loop discipline of Redis itself): a
-// request that arrives while its node is still busy queues, and its
-// recorded latency is queueing delay plus jittered service time. The
+// serveOn executes one request on a replica-chain instance of its shard: 0
+// is the primary (every request without topology events), >0 a failover
+// target whose node stands in for a down primary. It runs background
+// machinery up to the arrival, measures queueing delay, performs the
+// operation, and occupies the node for the raw service time. Each node is
+// modelled as a single-threaded server (the event-loop discipline of Redis
+// itself): a request that arrives while its node is still busy queues, and
+// its recorded latency is queueing delay plus jittered service time. The
+// request's full cost lands on the serving node's clock and digests; the
 // returned latency is what was recorded, so callers can segment it into
 // additional digests.
-func (c *Cluster) serve(st *runState, shardID int, req workload.Request) simtime.Duration {
-	return c.serveOn(st, shardID, 0, req)
-}
-
-// serveOn is serve on a specific replica-chain instance: 0 is the primary
-// (every request without topology events), >0 a failover target whose node
-// stands in for a down primary. The request's full cost lands on the
-// serving node's clock and digests.
 func (c *Cluster) serveOn(st *runState, shardID, inst int, req workload.Request) simtime.Duration {
 	sh := c.shards[shardID]
 	in := sh.instances[inst]
@@ -931,100 +924,28 @@ func (c *Cluster) finish(st *runState) Report {
 // returns the digests. Requests are generated deterministically, each
 // node's clock advances monotonically, and every random draw comes from a
 // seeded per-node stream — so one (config, load) pair reproduces the run
-// exactly, on either engine.
+// exactly, whichever way it is dispatched.
 //
-// By default Run uses the parallel engine: the request stream is
-// partitioned per node up front (routing is deterministic) and every node
-// executes its sub-stream on its own goroutine. Nodes are causally
-// independent after routing — a request only ever touches its own node's
-// scheduler, kernel, RNG and shards — so the per-node results are
-// identical to the sequential engine's and the merged Report is
-// bit-identical. Config.Sequential selects the single-goroutine engine
-// that interleaves all nodes in global arrival order.
+// Run is a thin adapter over the scenario layer: the load is lifted onto a
+// single-phase, single-class Scenario (ScenarioFromLoad) and executed by
+// RunScenario. The lifted class reuses the canonical load-driver stream,
+// so the request sequence is exactly the LoadDriver's. By default every
+// node serves its sub-stream on its own goroutine: through the chunk
+// pipeline, or at GOMAXPROCS=1 through a whole-run partition of bare
+// requests. Nodes are causally independent after routing — a request only
+// ever touches its own node's scheduler, kernel, RNG and shards — so the
+// merged Report is bit-identical to the one Config.Sequential produces by
+// interleaving all nodes in global arrival order on one goroutine.
+// TestReportGoldens pins all three dispatches to committed bytes.
 //
 // Run may be called repeatedly with successive streams. Every digest in
 // the returned Report covers exactly that run (PerNode and PerShard sum to
 // Cluster); the shard and node Recorders keep accumulating across runs for
 // callers inspecting the whole history.
-//
-// Run is a thin adapter over the scenario layer: the load is lifted onto a
-// single-phase, single-class Scenario (ScenarioFromLoad) and executed by
-// RunScenario. The lifted class reuses the canonical load-driver stream,
-// so the Report is bit-identical to driving the LoadDriver directly — the
-// property TestRunMatchesDirectEngines pins against the RunSequential /
-// RunParallel escape hatches.
 func (c *Cluster) Run(load workload.LoadConfig) Report {
 	rep, err := c.RunScenario(workload.ScenarioFromLoad(load))
 	if err != nil {
 		panic(err)
 	}
 	return rep.Report
-}
-
-// RunSequential executes the run on one goroutine in global arrival order,
-// streaming the load with O(1) workload memory — the escape hatch the
-// parallel engine is verified against.
-func (c *Cluster) RunSequential(load workload.LoadConfig) Report {
-	d := workload.NewLoadDriver(load)
-	st := c.newRunState()
-	for {
-		req, ok := d.Next()
-		if !ok {
-			break
-		}
-		c.serve(st, c.router.ShardForKey(req.Key), req)
-	}
-	return c.finish(st)
-}
-
-// routedReq is one request bound to its shard, the unit of the per-node
-// partition.
-type routedReq struct {
-	req   workload.Request
-	shard int32
-}
-
-// RunParallel partitions the stream per node and executes each node's
-// sub-stream on its own goroutine. The partition preserves arrival order
-// within every node, which is all a node can observe; the merge in finish
-// is order-canonical, so the Report is bit-identical to RunSequential's.
-func (c *Cluster) RunParallel(load workload.LoadConfig) Report {
-	d := workload.NewLoadDriver(load)
-	perNode := make([][]routedReq, len(c.nodes))
-	if load.Requests > 0 {
-		// Pre-size assuming an even spread; skewed routings just append.
-		per := int(load.Requests)/len(c.nodes) + len(c.nodes)
-		for i := range perNode {
-			perNode[i] = make([]routedReq, 0, per)
-		}
-	}
-	for {
-		req, ok := d.Next()
-		if !ok {
-			break
-		}
-		shard := c.router.ShardForKey(req.Key)
-		node := c.shards[shard].node.Index
-		perNode[node] = append(perNode[node], routedReq{req: req, shard: int32(shard)})
-	}
-
-	st := c.newRunState()
-	var wg sync.WaitGroup
-	for i := range c.nodes {
-		reqs := perNode[i]
-		if len(reqs) == 0 {
-			// An idle node's background machinery catches up during the
-			// horizon settle in finish, exactly as in the sequential engine.
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, rr := range reqs {
-				c.serve(st, int(rr.shard), rr.req)
-			}
-		}()
-	}
-	wg.Wait()
-	return c.finish(st)
 }

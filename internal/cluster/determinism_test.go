@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/hermes-sim/hermes/internal/batch"
-	"github.com/hermes-sim/hermes/internal/flatmap"
 	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/workload"
 )
@@ -139,24 +138,6 @@ func TestNodeStreamIndependence(t *testing.T) {
 	}
 }
 
-// TestSeedReplayLegacyGenerator holds the escape-hatch generator to the
-// same determinism bar as the default: bit-identical replay and engine
-// equivalence on the churn scenario.
-func TestSeedReplayLegacyGenerator(t *testing.T) {
-	cfg, load := churnScenario()
-	load.Generator = workload.GenLegacy
-	first := runChurn(t, cfg, load)
-	again := runChurn(t, cfg, load)
-	if !reflect.DeepEqual(first, again) {
-		t.Fatalf("legacy-generator seed replay diverged:\nfirst: %+v\nagain: %+v", first, again)
-	}
-	cfg.Sequential = true
-	seq := runChurn(t, cfg, load)
-	if !reflect.DeepEqual(first, seq) {
-		t.Fatalf("legacy-generator parallel engine diverged from sequential:\npar: %+v\nseq: %+v", first, seq)
-	}
-}
-
 // TestSeedReplayScenarioTimeline extends the seed-replay bar to the
 // scenario layer: a multi-phase, multi-class scenario with timeline events
 // (per-node squeeze, mid-run pressure storm) must replay bit-identically —
@@ -185,31 +166,5 @@ func TestSeedReplayScenarioTimeline(t *testing.T) {
 	cfg2.Seed = cfg.Seed + 1
 	if diverged := runScenario(t, cfg2, other); reflect.DeepEqual(first.Cluster, diverged.Cluster) {
 		t.Fatal("different seed reproduced the identical cluster digest")
-	}
-}
-
-// TestClusterBackendEquivalence verifies the open-addressed service tables
-// against the Go-map fallback: the identical cluster run on either backend
-// must produce a bit-identical Report. This is the equivalence check behind
-// the HERMES_FLATMAP=map escape hatch.
-func TestClusterBackendEquivalence(t *testing.T) {
-	for _, svc := range []ServiceKind{ServiceRedis, ServiceRocksdb} {
-		for _, kind := range []AllocatorKind{AllocGlibc, AllocHermes} {
-			cfg, load := churnScenario()
-			cfg.ServiceKind = svc
-			cfg.Allocator = kind
-			flat := runChurn(t, cfg, load)
-
-			prev := flatmap.SetDefaultBackend(flatmap.BackendMap)
-			restore := func() { flatmap.SetDefaultBackend(prev) }
-			defer restore()
-			mapped := runChurn(t, cfg, load)
-			restore()
-
-			if !reflect.DeepEqual(flat, mapped) {
-				t.Fatalf("%s/%s: flat tables diverge from map fallback:\nflat: %+v\nmap:  %+v",
-					svc, kind, flat, mapped)
-			}
-		}
 	}
 }

@@ -154,21 +154,7 @@ func TestReportGoldens(t *testing.T) {
 			cfg:  f.cfg,
 			run:  func(c *Cluster) (any, error) { return c.Run(f.load), nil },
 		}
-		t.Run("flat/"+f.name, func(t *testing.T) {
-			g.check(t)
-			if os.Getenv("HERMES_UPDATE_GOLDEN") != "" {
-				return
-			}
-			// The direct sequential engine's verdict, carried into the bytes.
-			want, err := os.ReadFile(g.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct := reportGolden{cfg: f.cfg, run: func(c *Cluster) (any, error) { return c.RunSequential(f.load), nil }}
-			if got := direct.render(t, f.cfg); !bytes.Equal(got, want) {
-				t.Errorf("RunSequential diverged from %s at %s", g.path, firstDiff(got, want))
-			}
-		})
+		t.Run("flat/"+f.name, g.check)
 	}
 
 	files, err := filepath.Glob("../../examples/scenarios/*.json")

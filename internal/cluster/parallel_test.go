@@ -42,12 +42,14 @@ func reportsEqual(t *testing.T, seq, par Report) {
 // one per engine, and returns both reports.
 func runBoth(t *testing.T, cfg Config, load workload.LoadConfig) (seq, par Report) {
 	t.Helper()
+	cfg.Sequential = true
 	cs := New(cfg)
 	defer cs.Close()
-	seq = cs.RunSequential(load)
+	seq = cs.Run(load)
+	cfg.Sequential = false
 	cp := New(cfg)
 	defer cp.Close()
-	par = cp.RunParallel(load)
+	par = cp.Run(load)
 	return seq, par
 }
 
@@ -108,9 +110,9 @@ func TestParallelPersistentRecordersAccumulate(t *testing.T) {
 	defer c.Close()
 	load := testLoad()
 	load.Requests = 5000
-	first := c.RunParallel(load)
+	first := c.Run(load)
 	load.Start = c.Nodes()[0].Now()
-	second := c.RunParallel(load)
+	second := c.Run(load)
 	if first.Requests != 5000 || second.Requests != 5000 {
 		t.Fatalf("run reports cover %d/%d requests, want 5000 each", first.Requests, second.Requests)
 	}
@@ -161,35 +163,25 @@ func TestHistogramModeMemoryBounded(t *testing.T) {
 }
 
 // TestParallelSingleCoreMatchesSequential pins the GOMAXPROCS-adaptive
-// dispatch in the scenario engine. At GOMAXPROCS=1 the parallel engine
-// skips the chunk pipeline and takes the full-partition path — and, for
-// flat loads with no timeline, the bare-Request specialization under it.
-// The rest of the suite runs at the host's GOMAXPROCS (≥2 in CI), which
-// only exercises the pipeline, so this test is the coverage those
-// single-core paths get. Both must reproduce the sequential report bit
-// for bit, which is exactly what makes the dispatch result-neutral.
+// dispatch in the scenario engine. At GOMAXPROCS=1 a flat load with no
+// timeline skips the chunk pipeline and takes the bare-Request partition;
+// every other scenario stays on the pipeline. The rest of the suite runs at
+// the host's GOMAXPROCS (≥2 in CI), so this test and TestReportGoldens are
+// the coverage the single-core dispatch gets. Both must reproduce the
+// sequential report bit for bit, which is exactly what makes the dispatch
+// result-neutral.
 func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
 	t.Run("flat", func(t *testing.T) {
-		// Flat load, no events: RunScenario → partitioned → flat-load
-		// specialization.
-		cfg := testClusterConfig(AllocHermes)
-		cfg.Sequential = true
-		cs := New(cfg)
-		defer cs.Close()
-		seq := cs.Run(testLoad())
-		cfg.Sequential = false
-		cp := New(cfg)
-		defer cp.Close()
-		par := cp.Run(testLoad())
+		seq, par := runBoth(t, testClusterConfig(AllocHermes), testLoad())
 		reportsEqual(t, seq, par)
 	})
 
 	t.Run("scenario", func(t *testing.T) {
-		// Multi-phase scenario with a live timeline: RunScenario →
-		// partitioned path proper.
+		// Multi-phase scenario with a live timeline: the chunk pipeline on
+		// one core.
 		cfg, scn := eventScenario()
 		cfg.Sequential = true
 		seq := runScenario(t, cfg, scn)

@@ -528,7 +528,8 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 // the phase- and class-segmented digests. Generation, routing, event firing
 // and every random draw are deterministic, so one (config, scenario) pair
 // reproduces the run exactly — on either engine (Config.Sequential selects
-// the single-goroutine one; the default partitions the stream per node).
+// the single-goroutine one; the default serves each node on its own
+// goroutine).
 // The scenario is validated up front; nothing panics mid-run on a
 // malformed spec.
 func (c *Cluster) RunScenario(scn workload.Scenario) (ScenarioReport, error) {
@@ -556,8 +557,8 @@ func (c *Cluster) RunScenario(scn workload.Scenario) (ScenarioReport, error) {
 // LoadDriver — the identical stream without the merge layer, so the
 // adapter costs the seed path nothing; a topology schedule disables the
 // bypass because routing then depends on the arrival instant. Both engines
-// share this: only the emit sink differs (serve now vs. partition for
-// later). Requests whose whole replica chain is down never reach emit —
+// share this: only the emit sink differs (serve now vs. hand to the node's
+// pipeline). Requests whose whole replica chain is down never reach emit —
 // they are counted against the primary and dropped here, at routing.
 func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
 	emit func(req workload.Request, shard, inst, pc int32, meta resAttempt)) []workload.PhaseBound {
@@ -628,7 +629,7 @@ func (c *Cluster) runScenarioSequential(scn workload.Scenario, topo *topology, r
 
 // routedScenarioReq is one scenario request bound to its shard, the
 // replica-chain instance serving it, its segmentation cell, and its
-// resilience metadata — the unit of the per-node partition.
+// resilience metadata — the unit of the chunk pipeline.
 type routedScenarioReq struct {
 	req   workload.Request
 	shard int32
@@ -677,13 +678,15 @@ type scenarioChunk struct {
 // (e.g. migration manifests filled by diverted writes) visible to the
 // serving goroutine, exactly as the old full-partition barrier did.
 func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res *resilience) ScenarioReport {
-	if runtime.GOMAXPROCS(0) == 1 {
-		// On one core the pipeline cannot overlap anything; what decides the
-		// wall clock is cache locality, and the partitioned path — each
-		// node's whole sub-stream served contiguously — keeps one node's
-		// working set hot instead of cycling every node's through the cache
-		// chunk by chunk. Both paths produce the identical report.
-		return c.runScenarioPartitioned(scn, topo, res)
+	if runtime.GOMAXPROCS(0) == 1 && topo == nil && res == nil {
+		// On one core the pipeline cannot overlap anything; what decides a
+		// flat run's wall clock is cache locality, and the partitioned path —
+		// each node's whole sub-stream served contiguously — keeps one
+		// node's working set hot instead of cycling every node's through the
+		// cache chunk by chunk. Both paths produce the identical report.
+		if flat, ok := scn.FlatLoad(); ok {
+			return c.runFlatPartitioned(flat, scn)
+		}
 	}
 	sr := c.newScenarioRun(scn, topo, res)
 	type nodePipe struct {
@@ -764,65 +767,17 @@ func (c *Cluster) serveChunk(sr *scenarioRun, ck *scenarioChunk) {
 	}
 }
 
-// runScenarioPartitioned is the single-core variant of the parallel engine:
-// it materializes the full per-node partition first, then serves each
-// node's whole sub-stream on its own goroutine. The per-node sub-streams
-// and serve orders are exactly the pipeline's, so the report is
-// bit-identical; only the wall-clock shape differs.
-func (c *Cluster) runScenarioPartitioned(scn workload.Scenario, topo *topology, res *resilience) ScenarioReport {
-	if flat, ok := scn.FlatLoad(); ok && topo == nil && res == nil {
-		return c.runFlatPartitioned(flat, scn)
-	}
-	perNode := make([][]routedScenarioReq, len(c.nodes))
-	var budget int64
-	for _, p := range scn.Phases {
-		if p.Requests <= 0 {
-			budget = 0 // a duration-bounded phase makes the total unknowable
-			break
-		}
-		budget += p.Requests
-	}
-	if budget > 0 {
-		// Pre-size assuming an even spread; skewed routings just append.
-		per := int(budget)/len(c.nodes) + len(c.nodes)
-		for i := range perNode {
-			perNode[i] = make([]routedScenarioReq, 0, per)
-		}
-	}
-	sr := c.newScenarioRun(scn, topo, res)
-	bounds := c.generateScenario(scn, sr, func(req workload.Request, shard, inst, pc int32, meta resAttempt) {
-		node := c.shards[shard].instances[inst].node.Index
-		perNode[node] = append(perNode[node], routedScenarioReq{req: req, shard: shard, inst: inst, pc: pc, meta: meta})
-	})
-
-	var wg sync.WaitGroup
-	for i := range c.nodes {
-		reqs := perNode[i]
-		if len(reqs) == 0 {
-			// Idle nodes still fire their timeline — during the drain in
-			// finishScenario, exactly as in the sequential engine.
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range reqs {
-				rr := &reqs[k]
-				c.serveScenario(sr, int(rr.shard), rr.inst, rr.pc, rr.req, rr.meta)
-			}
-		}()
-	}
-	wg.Wait()
-	return c.finishScenario(sr, scn, bounds)
-}
-
-// runFlatPartitioned is runScenarioPartitioned specialized to the flat
-// single-phase load with no topology or resilience schedule — every
-// Cluster.Run on one core lands here. On this path the routing metadata is
-// constant (primary instance, no segmentation cell, empty resilience
-// verdict), so the partition stores bare workload.Requests — half the bytes
-// of a routedScenarioReq — and the serving goroutine re-derives the shard
-// from the key, which is exactly how the generation side routed it.
+// runFlatPartitioned is the single-core engine for a flat single-phase load
+// with no topology or resilience schedule — every Cluster.Run on one core
+// lands here. It materializes the full per-node partition first, then
+// serves each node's whole sub-stream on its own goroutine; the per-node
+// sub-streams and serve orders are exactly the pipeline's, so the report is
+// bit-identical and only the wall-clock shape differs. The routing metadata
+// is constant on this path (primary instance, no segmentation cell, empty
+// resilience verdict), so the partition stores bare workload.Requests —
+// half the bytes of a routedScenarioReq — and the serving goroutine
+// re-derives the shard from the key, which is exactly how the generation
+// side routed it.
 func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scenario) ScenarioReport {
 	sr := c.newScenarioRun(scn, nil, nil)
 	perNode := make([][]workload.Request, len(c.nodes))

@@ -10,60 +10,6 @@ import (
 	"github.com/hermes-sim/hermes/internal/workload"
 )
 
-// TestRunMatchesDirectEngines is the bit-compatibility shim guard:
-// Cluster.Run now lifts the load onto a single-phase scenario, and its
-// Report must stay byte-identical to the direct LoadDriver engines
-// (RunSequential / RunParallel) — across allocators, seeds, generators and
-// stats modes.
-func TestRunMatchesDirectEngines(t *testing.T) {
-	check := func(t *testing.T, cfg Config, load workload.LoadConfig) {
-		t.Helper()
-		direct := New(cfg)
-		defer direct.Close()
-		want := direct.RunSequential(load)
-
-		cfg.Sequential = true
-		cs := New(cfg)
-		defer cs.Close()
-		if got := cs.Run(load); !reflect.DeepEqual(got, want) {
-			t.Errorf("sequential adapter diverged from direct engine:\nadapter: %+v\ndirect:  %+v", got.Cluster, want.Cluster)
-		}
-		cfg.Sequential = false
-		cp := New(cfg)
-		defer cp.Close()
-		if got := cp.Run(load); !reflect.DeepEqual(got, want) {
-			t.Errorf("parallel adapter diverged from direct engine:\nadapter: %+v\ndirect:  %+v", got.Cluster, want.Cluster)
-		}
-	}
-
-	for _, kind := range []AllocatorKind{AllocGlibc, AllocHermes} {
-		for _, seed := range []uint64{1, 99} {
-			kind, seed := kind, seed
-			t.Run(string(kind), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Nodes = 3
-				cfg.Shards = 6
-				cfg.Allocator = kind
-				cfg.Kernel.TotalMemory = 1 << 30
-				cfg.Kernel.SwapBytes = 1 << 30
-				cfg.Seed = seed
-				load := workload.DefaultLoadConfig()
-				load.Requests = 20_000
-				load.Keys = 5_000
-				load.Seed = seed
-				check(t, cfg, load)
-			})
-		}
-	}
-
-	t.Run("churn-histogram-legacy", func(t *testing.T) {
-		cfg, load := churnScenario()
-		cfg.Stats = StatsHistogram
-		load.Generator = workload.GenLegacy
-		check(t, cfg, load)
-	})
-}
-
 // eventScenario is the acceptance scenario: three phases, two traffic
 // classes, and a timeline that raises a mid-run pressure storm plus a
 // per-node memory squeeze — enough machinery to expose any

@@ -91,6 +91,9 @@ func ParseScenarioSpec(data []byte) (ScenarioSpec, error) {
 	raw := doc.Scenario
 	if raw == nil {
 		raw = data // bare scenario document
+	} else if err := workload.UnmarshalStrict(data, &doc); err != nil {
+		// Wrapped: the envelope and its cluster section are strict too.
+		return ScenarioSpec{}, fmt.Errorf("cluster: scenario spec JSON: %w", err)
 	}
 	scn, err := workload.ParseScenario(raw)
 	if err != nil {

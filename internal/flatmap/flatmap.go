@@ -21,47 +21,15 @@
 // path that needs an order independent of table internals (e.g. freeing
 // memtable blocks at flush) uses SortedKeys.
 //
-// A Go-map fallback backend is kept behind a config switch
-// (SetDefaultBackend, or HERMES_FLATMAP=map in the environment) so the flat
-// implementation can be verified equivalent against the original map-based
-// services — see TestClusterBackendEquivalence and the property tests.
+// The property and fuzz tests check every operation against a plain Go map
+// oracle.
 package flatmap
 
 import (
 	"encoding/binary"
 	"math/bits"
-	"os"
 	"slices"
 )
-
-// Backend selects the Map implementation.
-type Backend int
-
-const (
-	// BackendFlat is the open-addressed table — the default.
-	BackendFlat Backend = iota
-	// BackendMap is the Go-map fallback used to verify equivalence and as
-	// an escape hatch (HERMES_FLATMAP=map).
-	BackendMap
-)
-
-var defaultBackend = func() Backend {
-	if os.Getenv("HERMES_FLATMAP") == "map" {
-		return BackendMap
-	}
-	return BackendFlat
-}()
-
-// DefaultBackend returns the process-wide default backend.
-func DefaultBackend() Backend { return defaultBackend }
-
-// SetDefaultBackend overrides the default backend for Maps created
-// afterwards and returns the previous default (tests restore it).
-func SetDefaultBackend(b Backend) Backend {
-	prev := defaultBackend
-	defaultBackend = b
-	return prev
-}
 
 const minCapacity = 8
 
@@ -76,11 +44,11 @@ const (
 // Map is a hash table from int64 keys to inline values of type V.
 // The zero value is not ready for use; call New.
 type Map[V any] struct {
-	// Flat backend: parallel slot arrays, power-of-two sized. ctrl holds one
-	// byte per slot — 0 for empty, else 0x80|top-7-hash-bits — plus
-	// groupWidth mirror bytes of slots 0..groupWidth-1 at the end, so an
-	// unaligned 8-byte load starting at any slot sees the wrapped-around
-	// window without masking.
+	// Parallel slot arrays, power-of-two sized. ctrl holds one byte per
+	// slot — 0 for empty, else 0x80|top-7-hash-bits — plus groupWidth
+	// mirror bytes of slots 0..groupWidth-1 at the end, so an unaligned
+	// 8-byte load starting at any slot sees the wrapped-around window
+	// without masking.
 	keys []int64
 	vals []V
 	ctrl []byte
@@ -95,22 +63,11 @@ type Map[V any] struct {
 	// sink absorbs Prefetch loads so they cannot be optimized away. Written
 	// only by the goroutine owning the Map; never read.
 	sink uint64
-
-	// Fallback backend.
-	m map[int64]V
 }
 
-// New creates a Map with capacity for about hint entries, using the
-// process-wide default backend.
-func New[V any](hint int) *Map[V] { return NewBackend[V](hint, defaultBackend) }
-
-// NewBackend creates a Map on an explicit backend.
-func NewBackend[V any](hint int, b Backend) *Map[V] {
+// New creates a Map with capacity for about hint entries.
+func New[V any](hint int) *Map[V] {
 	m := &Map[V]{}
-	if b == BackendMap {
-		m.m = make(map[int64]V, hint)
-		return m
-	}
 	capacity := minCapacity
 	for capacity*7/8 <= hint {
 		capacity *= 2
@@ -180,9 +137,6 @@ func (m *Map[V]) Len() int {
 	if m == nil {
 		return 0
 	}
-	if m.m != nil {
-		return len(m.m)
-	}
 	return m.n
 }
 
@@ -191,10 +145,6 @@ func (m *Map[V]) Get(k int64) (V, bool) {
 	if m == nil {
 		var zero V
 		return zero, false
-	}
-	if m.m != nil {
-		v, ok := m.m[k]
-		return v, ok
 	}
 	h := hash(k)
 	fp := uint64(fingerprint(h))
@@ -232,10 +182,6 @@ func (m *Map[V]) Contains(k int64) bool {
 	if m == nil {
 		return false
 	}
-	if m.m != nil {
-		_, ok := m.m[k]
-		return ok
-	}
 	h := hash(k)
 	fp := uint64(fingerprint(h))
 	i := h & m.mask
@@ -269,7 +215,7 @@ func (m *Map[V]) Contains(k int64) bool {
 // behavior-neutral — the batched-admission path issues a Prefetch per
 // request in a small look-ahead window before serving the window.
 func (m *Map[V]) Prefetch(k int64) {
-	if m == nil || m.m != nil {
+	if m == nil {
 		return
 	}
 	i := hash(k) & m.mask
@@ -278,10 +224,6 @@ func (m *Map[V]) Prefetch(k int64) {
 
 // Put stores v under k, replacing any existing entry.
 func (m *Map[V]) Put(k int64, v V) {
-	if m.m != nil {
-		m.m[k] = v
-		return
-	}
 	h := hash(k)
 	fp := uint64(fingerprint(h))
 	i := h & m.mask
@@ -328,11 +270,6 @@ func (m *Map[V]) Put(k int64, v V) {
 // Get fused into a single probe for the overwrite-heavy service paths
 // (Redis value replacement, RocksDB memtable upsert).
 func (m *Map[V]) Swap(k int64, v V) (V, bool) {
-	if m.m != nil {
-		prev, ok := m.m[k]
-		m.m[k] = v
-		return prev, ok
-	}
 	h := hash(k)
 	fp := uint64(fingerprint(h))
 	i := h & m.mask
@@ -410,13 +347,6 @@ func (m *Map[V]) Delete(k int64) (V, bool) {
 	if m == nil {
 		return zero, false
 	}
-	if m.m != nil {
-		v, ok := m.m[k]
-		if ok {
-			delete(m.m, k)
-		}
-		return v, ok
-	}
 	h := hash(k)
 	fp := uint64(fingerprint(h))
 	i := h & m.mask
@@ -470,14 +400,6 @@ func (m *Map[V]) Range(fn func(k int64, v V) bool) {
 	if m == nil {
 		return
 	}
-	if m.m != nil {
-		for k, v := range m.m {
-			if !fn(k, v) {
-				return
-			}
-		}
-		return
-	}
 	for i := range m.keys {
 		if m.ctrl[i] != 0 && !fn(m.keys[i], m.vals[i]) {
 			return
@@ -490,12 +412,6 @@ func (m *Map[V]) AppendKeys(buf []int64) []int64 {
 	if m == nil {
 		return buf
 	}
-	if m.m != nil {
-		for k := range m.m {
-			buf = append(buf, k)
-		}
-		return buf
-	}
 	for i := range m.keys {
 		if m.ctrl[i] != 0 {
 			buf = append(buf, m.keys[i])
@@ -506,7 +422,7 @@ func (m *Map[V]) AppendKeys(buf []int64) []int64 {
 
 // SortedKeys appends every key to buf in ascending order and returns it —
 // the iteration order for deterministic-path bulk operations (memtable
-// flush, service close), identical across backends.
+// flush, service close), independent of the slot layout.
 func (m *Map[V]) SortedKeys(buf []int64) []int64 {
 	buf = m.AppendKeys(buf)
 	slices.Sort(buf)
@@ -516,10 +432,6 @@ func (m *Map[V]) SortedKeys(buf []int64) []int64 {
 // Clear removes every entry, keeping the allocated capacity.
 func (m *Map[V]) Clear() {
 	if m == nil {
-		return
-	}
-	if m.m != nil {
-		clear(m.m)
 		return
 	}
 	clear(m.keys)

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	randv2 "math/rand/v2"
-	"os"
 
 	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/workload/randgen"
@@ -46,43 +44,6 @@ type Request struct {
 	ValueBytes int64
 }
 
-// Generator selects the sampling machinery behind a LoadDriver.
-type Generator string
-
-const (
-	// GenFast is the default randgen-backed generator: splittable
-	// splitmix64 streams, alias-table Zipf keys, ziggurat exponential
-	// gaps — O(1) per draw with no transcendentals in the loop.
-	GenFast Generator = "fast"
-	// GenLegacy is the escape hatch (HERMES_WORKLOAD=legacy): stdlib
-	// math/rand/v2 machinery with rejection-inversion Zipf, kept for
-	// debugging and for benchmarking the generator overhaul. Its streams
-	// are not bit-compatible with GenFast's (nor with the pre-overhaul
-	// math/rand streams, which are retired); determinism per seed holds
-	// on either generator.
-	GenLegacy Generator = "legacy"
-)
-
-// defaultGenerator mirrors flatmap's backend switch: an env escape hatch
-// resolved once at startup, overridable in-process for tests.
-var defaultGenerator = func() Generator {
-	if os.Getenv("HERMES_WORKLOAD") == "legacy" {
-		return GenLegacy
-	}
-	return GenFast
-}()
-
-// DefaultGenerator returns the process-wide default workload generator.
-func DefaultGenerator() Generator { return defaultGenerator }
-
-// SetDefaultGenerator overrides the default generator for LoadDrivers
-// created afterwards and returns the previous default (tests restore it).
-func SetDefaultGenerator(g Generator) Generator {
-	prev := defaultGenerator
-	defaultGenerator = g
-	return prev
-}
-
 // streamLoadDriver is the LoadDriver's stream id under LoadConfig.Seed —
 // a domain-separation constant (ASCII "load-drv") far outside the small
 // node-local id registry (kernel.Stream*). Ids must differ even across
@@ -113,9 +74,6 @@ type LoadConfig struct {
 	// Seed drives all stochastic choices; one seed reproduces the exact
 	// request stream.
 	Seed uint64
-	// Generator selects the sampling machinery; empty means the
-	// process-wide default (GenFast unless HERMES_WORKLOAD=legacy).
-	Generator Generator
 }
 
 // DefaultLoadConfig returns a YCSB-flavoured default: 1 M requests at
@@ -154,21 +112,7 @@ func (c LoadConfig) Validate() error {
 	if c.ReadFraction < 0 || c.ReadFraction > 1 {
 		return fmt.Errorf("workload: read fraction %v outside [0,1]", c.ReadFraction)
 	}
-	switch c.Generator {
-	case "", GenFast, GenLegacy:
-	default:
-		return fmt.Errorf("workload: unknown generator %q", c.Generator)
-	}
 	return nil
-}
-
-// GeneratorKind resolves the configured generator, falling back to the
-// process-wide default so the zero LoadConfig value works.
-func (c LoadConfig) GeneratorKind() Generator {
-	if c.Generator == "" {
-		return defaultGenerator
-	}
-	return c.Generator
 }
 
 // LoadDriver generates an open-loop keyed request stream. It is a pull
@@ -179,13 +123,10 @@ func (c LoadConfig) GeneratorKind() Generator {
 type LoadDriver struct {
 	cfg LoadConfig
 
-	// Fast path: an independent randgen stream split from the load seed,
-	// with alias-table Zipf keys and ziggurat exponential gaps.
+	// An independent randgen stream split from the load seed, with
+	// alias-table Zipf keys and ziggurat exponential gaps.
 	rng  *randgen.Stream
 	zipf *randgen.Zipf
-
-	// Legacy escape hatch: stdlib machinery, nil unless selected.
-	legacy *legacyGen
 
 	// shape, when non-nil, modulates the instantaneous arrival rate: the
 	// mean rate at virtual instant t is RatePerSec·shape(t). Only the
@@ -195,13 +136,6 @@ type LoadDriver struct {
 
 	next    simtime.Time
 	emitted int64
-}
-
-// legacyGen is the GenLegacy sampling state: math/rand/v2's PCG with the
-// stdlib's rejection-inversion Zipf and ziggurat helpers.
-type legacyGen struct {
-	rng  *randv2.Rand
-	zipf *randv2.Zipf
 }
 
 // NewLoadDriver validates the config and positions the stream at its first
@@ -220,23 +154,7 @@ func newLoadDriverStream(cfg LoadConfig, id uint64) *LoadDriver {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &LoadDriver{cfg: cfg, next: cfg.Start}
-	if cfg.GeneratorKind() == GenLegacy {
-		// The legacy generator has no stream ids: the canonical stream
-		// seeds the PCG directly (the pre-scenario sequence, unchanged);
-		// any other id derives a sub-seed so classes stay independent.
-		seed := cfg.Seed
-		if id != streamLoadDriver {
-			seed = randgen.SplitSeed(cfg.Seed, id)
-		}
-		rng := randv2.New(randv2.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-		d.legacy = &legacyGen{rng: rng}
-		if cfg.ZipfS > 0 {
-			d.legacy.zipf = randv2.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1))
-		}
-		return d
-	}
-	d.rng = randgen.Split(cfg.Seed, id)
+	d := &LoadDriver{cfg: cfg, next: cfg.Start, rng: randgen.Split(cfg.Seed, id)}
 	if cfg.ZipfS > 0 {
 		d.zipf = randgen.NewZipf(d.rng, cfg.ZipfS, 1, uint64(cfg.Keys-1))
 	}
@@ -256,17 +174,9 @@ func (d *LoadDriver) Next() (req Request, ok bool) {
 	if d.emitted >= d.cfg.Requests {
 		return Request{}, false
 	}
-	var key int64
-	var opU, gap float64
-	if l := d.legacy; l != nil {
-		key = l.key(d.cfg)
-		opU = l.rng.Float64()
-		gap = l.rng.ExpFloat64()
-	} else {
-		key = d.key()
-		opU = d.rng.Float64()
-		gap = d.rng.ExpFloat64()
-	}
+	key := d.key()
+	opU := d.rng.Float64()
+	gap := d.rng.ExpFloat64()
 	req = Request{At: d.next, Key: key}
 	if opU < d.cfg.ReadFraction {
 		req.Op = OpRead
@@ -292,11 +202,4 @@ func (d *LoadDriver) key() int64 {
 		return int64(d.zipf.Uint64())
 	}
 	return d.rng.Int64N(d.cfg.Keys)
-}
-
-func (l *legacyGen) key(cfg LoadConfig) int64 {
-	if l.zipf != nil {
-		return int64(l.zipf.Uint64())
-	}
-	return l.rng.Int64N(cfg.Keys)
 }

@@ -59,7 +59,6 @@ func TestLoadStreamDistinctFromKernelStream(t *testing.T) {
 	k := kernel.New(simtime.NewScheduler(), kcfg)
 	cfg := testLoadConfig()
 	cfg.Seed = 1
-	cfg.Generator = GenFast // d.rng is nil on the legacy path
 	d := NewLoadDriver(cfg)
 	same := 0
 	for i := 0; i < 16; i++ {
@@ -69,68 +68,6 @@ func TestLoadStreamDistinctFromKernelStream(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("kernel and load driver share %d of 16 draws under the same seed", same)
-	}
-}
-
-// Both generators must be deterministic per seed, seed-sensitive, and
-// mutually distinct (the escape hatch is a different sampler, not an alias).
-func TestLoadDriverLegacyGeneratorDeterministicAndDistinct(t *testing.T) {
-	cfg := testLoadConfig()
-	cfg.Generator = GenLegacy
-	a := drain(NewLoadDriver(cfg))
-	b := drain(NewLoadDriver(cfg))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("legacy request %d differs across identical drivers: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	fastCfg := testLoadConfig()
-	fastCfg.Generator = GenFast // explicit: the suite may run under HERMES_WORKLOAD=legacy
-	fast := drain(NewLoadDriver(fastCfg))
-	same := 0
-	for i := range a {
-		if a[i] == fast[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Fatal("legacy and fast generators produced the identical stream")
-	}
-	// The legacy stream obeys the same envelope: keys in range, reads
-	// near the configured fraction.
-	reads := 0
-	for _, r := range a {
-		if r.Key < 0 || r.Key >= cfg.Keys {
-			t.Fatalf("legacy key %d outside [0,%d)", r.Key, cfg.Keys)
-		}
-		if r.Op == OpRead {
-			reads++
-		}
-	}
-	if frac := float64(reads) / float64(len(a)); frac < 0.45 || frac > 0.55 {
-		t.Errorf("legacy read fraction %.3f, want ≈0.5", frac)
-	}
-}
-
-func TestSetDefaultGeneratorSelectsLegacy(t *testing.T) {
-	prev := SetDefaultGenerator(GenLegacy)
-	defer SetDefaultGenerator(prev)
-	cfg := testLoadConfig() // Generator left empty: resolves to the default
-	viaDefault := drain(NewLoadDriver(cfg))
-	cfg.Generator = GenLegacy
-	explicit := drain(NewLoadDriver(cfg))
-	for i := range viaDefault {
-		if viaDefault[i] != explicit[i] {
-			t.Fatalf("request %d: default-resolved legacy differs from explicit legacy", i)
-		}
-	}
-}
-
-func TestLoadConfigRejectsUnknownGenerator(t *testing.T) {
-	cfg := testLoadConfig()
-	cfg.Generator = "mersenne"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown generator must fail validation")
 	}
 }
 

@@ -139,9 +139,6 @@ type TrafficClass struct {
 	ReadFraction float64
 	// ValueBytes is the write payload size.
 	ValueBytes int64
-	// Generator selects the sampling machinery; empty means the
-	// process-wide default.
-	Generator Generator
 	// Resilience optionally gives the class's clients a timeout / retry /
 	// hedging policy (nil = fire-and-forget clients, the previous
 	// behavior).
@@ -213,7 +210,6 @@ func (tc TrafficClass) loadConfig(seed uint64, start simtime.Time, requests int6
 		ReadFraction: tc.ReadFraction,
 		ValueBytes:   tc.ValueBytes,
 		Seed:         seed,
-		Generator:    tc.Generator,
 	}
 }
 
@@ -844,7 +840,6 @@ func ScenarioFromLoad(cfg LoadConfig) Scenario {
 				ZipfS:        cfg.ZipfS,
 				ReadFraction: cfg.ReadFraction,
 				ValueBytes:   cfg.ValueBytes,
-				Generator:    cfg.Generator,
 			}},
 		}},
 	}

@@ -18,34 +18,29 @@ func scenarioTestLoad() LoadConfig {
 // TestScenarioSinglePhaseMatchesLoadDriver pins the adapter property
 // Cluster.Run rests on: a single-phase, single-class scenario lifted from a
 // LoadConfig emits the bit-identical request sequence to a plain
-// LoadDriver — on both generators.
+// LoadDriver.
 func TestScenarioSinglePhaseMatchesLoadDriver(t *testing.T) {
-	for _, gen := range []Generator{GenFast, GenLegacy} {
-		t.Run(string(gen), func(t *testing.T) {
-			cfg := scenarioTestLoad()
-			cfg.Generator = gen
-			ld := NewLoadDriver(cfg)
-			sd := NewScenarioDriver(ScenarioFromLoad(cfg))
-			for i := 0; ; i++ {
-				want, wok := ld.Next()
-				got, gok := sd.Next()
-				if wok != gok {
-					t.Fatalf("request %d: driver ok=%v scenario ok=%v", i, wok, gok)
-				}
-				if !wok {
-					break
-				}
-				if got.Request != want {
-					t.Fatalf("request %d diverged:\nload:     %+v\nscenario: %+v", i, want, got.Request)
-				}
-				if got.Phase != 0 || got.Class != 0 {
-					t.Fatalf("request %d annotated (phase=%d class=%d), want (0,0)", i, got.Phase, got.Class)
-				}
-			}
-			if sd.Emitted() != cfg.Requests {
-				t.Fatalf("scenario emitted %d, want %d", sd.Emitted(), cfg.Requests)
-			}
-		})
+	cfg := scenarioTestLoad()
+	ld := NewLoadDriver(cfg)
+	sd := NewScenarioDriver(ScenarioFromLoad(cfg))
+	for i := 0; ; i++ {
+		want, wok := ld.Next()
+		got, gok := sd.Next()
+		if wok != gok {
+			t.Fatalf("request %d: driver ok=%v scenario ok=%v", i, wok, gok)
+		}
+		if !wok {
+			break
+		}
+		if got.Request != want {
+			t.Fatalf("request %d diverged:\nload:     %+v\nscenario: %+v", i, want, got.Request)
+		}
+		if got.Phase != 0 || got.Class != 0 {
+			t.Fatalf("request %d annotated (phase=%d class=%d), want (0,0)", i, got.Phase, got.Class)
+		}
+	}
+	if sd.Emitted() != cfg.Requests {
+		t.Fatalf("scenario emitted %d, want %d", sd.Emitted(), cfg.Requests)
 	}
 }
 

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"github.com/hermes-sim/hermes/internal/batch"
@@ -102,7 +105,6 @@ type classJSON struct {
 	Zipf       float64         `json:"zipf,omitempty"`
 	Reads      float64         `json:"reads"`
 	ValueBytes int64           `json:"value_bytes"`
-	Generator  string          `json:"generator,omitempty"`
 	Resilience *resilienceJSON `json:"resilience,omitempty"`
 }
 
@@ -162,10 +164,25 @@ type batchJSON struct {
 	TickPeriod jsonDur `json:"tick_period,omitempty"`
 }
 
+// UnmarshalStrict decodes one JSON document into v like json.Unmarshal,
+// but rejects every key v does not declare, naming it — so a misspelled or
+// retired knob fails loudly instead of silently running the default.
+func UnmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON document")
+	}
+	return nil
+}
+
 // ParseScenario decodes and validates a scenario spec document.
 func ParseScenario(data []byte) (Scenario, error) {
 	var doc scenarioJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
+	if err := UnmarshalStrict(data, &doc); err != nil {
 		return Scenario{}, fmt.Errorf("workload: scenario JSON: %w", err)
 	}
 	s := Scenario{
@@ -202,7 +219,6 @@ func ParseScenario(data []byte) (Scenario, error) {
 				ZipfS:        cj.Zipf,
 				ReadFraction: cj.Reads,
 				ValueBytes:   cj.ValueBytes,
-				Generator:    Generator(cj.Generator),
 			}
 			if rj := cj.Resilience; rj != nil {
 				tc.Resilience = &Resilience{
@@ -346,7 +362,6 @@ func MarshalScenarioJSON(s Scenario) ([]byte, error) {
 				Zipf:       tc.ZipfS,
 				Reads:      tc.ReadFraction,
 				ValueBytes: tc.ValueBytes,
-				Generator:  string(tc.Generator),
 			}
 			if r := tc.Resilience; r != nil {
 				cj.Resilience = &resilienceJSON{

@@ -1,13 +1,11 @@
-// Workload-generator benchmarks: the open-loop LoadDriver on its two
-// sampling backends. ISSUE 4 rebuilt generation on internal/workload/randgen
-// (splittable splitmix64 streams, alias-table Zipf, ziggurat exponentials);
-// the legacy stdlib-algorithm path stays benchmarkable behind
-// LoadConfig.Generator for the before/after record.
+// Workload-generator benchmark: the open-loop LoadDriver on the randgen
+// samplers (splittable splitmix64 streams, alias-table Zipf, ziggurat
+// exponentials).
 //
-// CI runs these with -benchtime=1x as a smoke test; the committed
-// BENCH_workload.json captures the full-scale trajectory via
-// `hermes-bench -bench-workload` (see EXPERIMENTS.md). Per-primitive
-// comparisons (Zipf, exp, normal, FastExp) live in
+// CI runs it with -benchtime=1x as a smoke test; the committed
+// BENCH_workload.json records the per-draw samplers against the stdlib
+// algorithms via `hermes-bench -bench-workload` (see EXPERIMENTS.md).
+// Per-primitive comparisons (Zipf, exp, normal, FastExp) live in
 // internal/workload/randgen's benchmarks.
 package hermes_test
 
@@ -17,12 +15,13 @@ import (
 	hermes "github.com/hermes-sim/hermes"
 )
 
-func runDriverBench(b *testing.B, gen hermes.Generator) {
+// BenchmarkWorkloadDriver draws the default Zipf/Poisson stream — the
+// per-request generation cost Cluster.Run pays.
+func BenchmarkWorkloadDriver(b *testing.B) {
 	load := hermes.DefaultLoadConfig()
 	load.Requests = int64(b.N)
-	load.Generator = gen
-	// Construction (alias-table build for the fast path) stays outside
-	// the timer: it is once per config, amortised over millions of draws.
+	// Construction (the alias-table build) stays outside the timer: it is
+	// once per config, amortised over millions of draws.
 	d := hermes.NewLoadDriver(load)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -38,11 +37,3 @@ func runDriverBench(b *testing.B, gen hermes.Generator) {
 		b.Fatal("impossible: negative key sum")
 	}
 }
-
-// BenchmarkWorkloadDriverFast draws the default Zipf/Poisson stream from
-// the randgen generator — the per-request cost Cluster.Run pays.
-func BenchmarkWorkloadDriverFast(b *testing.B) { runDriverBench(b, hermes.GenFast) }
-
-// BenchmarkWorkloadDriverLegacy draws the identical stream shape from the
-// stdlib-algorithm escape hatch.
-func BenchmarkWorkloadDriverLegacy(b *testing.B) { runDriverBench(b, hermes.GenLegacy) }
