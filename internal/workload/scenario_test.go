@@ -18,8 +18,13 @@ func scenarioTestLoad() LoadConfig {
 // TestScenarioSinglePhaseMatchesLoadDriver pins the adapter property
 // Cluster.Run rests on: a single-phase, single-class scenario lifted from a
 // LoadConfig emits the bit-identical request sequence to a plain
-// LoadDriver.
+// LoadDriver. The subtest keeps the name of the generator it runs on, the
+// fast one, from when there were two.
 func TestScenarioSinglePhaseMatchesLoadDriver(t *testing.T) {
+	t.Run("fast", checkScenarioSinglePhaseMatchesLoadDriver)
+}
+
+func checkScenarioSinglePhaseMatchesLoadDriver(t *testing.T) {
 	cfg := scenarioTestLoad()
 	ld := NewLoadDriver(cfg)
 	sd := NewScenarioDriver(ScenarioFromLoad(cfg))
