@@ -437,6 +437,7 @@ func (c *Cluster) attachBatchRefresh(node *Node) {
 	}
 	// The administrator registers batch containers; containers churn, so
 	// the registration refreshes periodically (§3.3).
+	cacheOwners := make(map[kernel.PID]bool)
 	register := func() {
 		for _, pid := range node.runner.PIDs() {
 			node.registry.AddBatch(pid)
@@ -447,19 +448,19 @@ func (c *Cluster) attachBatchRefresh(node *Node) {
 		// Prune churned containers so the registry doesn't grow
 		// without bound — but keep dead PIDs that still own cached
 		// files: completed jobs leave their input cache resident
-		// (§2.3) and the daemon must stay able to release it.
+		// (§2.3) and the daemon must stay able to release it. One
+		// pass over the node's files finds those owners.
+		clear(cacheOwners)
+		for _, f := range node.kernel.Files() {
+			if f.CachedPages() > 0 {
+				cacheOwners[f.OwnerPID] = true
+			}
+		}
 		for _, pid := range node.registry.BatchPIDs() {
 			if p := node.kernel.Process(pid); p != nil && !p.Dead() {
 				continue
 			}
-			ownsCache := false
-			for _, f := range node.kernel.FilesOwnedBy(pid) {
-				if !f.Deleted() && f.CachedPages() > 0 {
-					ownsCache = true
-					break
-				}
-			}
-			if !ownsCache {
+			if !cacheOwners[pid] {
 				node.registry.RemoveBatch(pid)
 			}
 		}

@@ -142,13 +142,11 @@ func TestServiceSweepRocksdbLarge(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long co-location window")
-	}
-	// At CI scale only the scale-invariant claims are asserted; the full
-	// Default ≥ Hermes > Killing ordering emerges at the full scale's
-	// paper-proportioned footprints (see EXPERIMENTS.md): a 2 GB node is
-	// over-committed so hard that killing containers *helps* throughput.
+	// At CI scale only the scale-invariant claims are asserted: a 2 GB node
+	// is over-committed so hard that killing containers *helps* throughput.
+	// At full scale the paper's Default ≥ Hermes > Killing ordering holds
+	// for Redis (TestTable1FullScaleRedisOrdering) but not for RocksDB,
+	// whose Killing column still beats Hermes (see EXPERIMENTS.md).
 	r := Table1(QuickScale(), 1)
 	for _, svc := range []ServiceKind{ServiceRedis, ServiceRocksdb} {
 		jobs := r.Jobs[svc]
@@ -172,6 +170,23 @@ func TestTable1Shape(t *testing.T) {
 	// §5.3.2: ~98.5% node memory utilization under Hermes.
 	if r.Utilization[ServiceRedis] < 0.85 {
 		t.Errorf("Hermes node utilization %.2f, want high", r.Utilization[ServiceRedis])
+	}
+}
+
+// TestTable1FullScaleRedisOrdering pins the paper's Table 1 ordering for
+// Redis at the paper-proportioned footprints: Default ≥ Hermes > Killing
+// (paper: 212/194/123). It runs only the Redis co-location cells.
+func TestTable1FullScaleRedisOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-sized co-location window")
+	}
+	jobs := make(map[Table1Scenario]int64)
+	for _, sc := range []Table1Scenario{Table1Default, Table1Hermes, Table1Killing} {
+		jobs[sc], _ = runTable1Cell(ServiceRedis, sc, FullScale(), 1)
+	}
+	if !(jobs[Table1Default] >= jobs[Table1Hermes] && jobs[Table1Hermes] > jobs[Table1Killing]) {
+		t.Fatalf("Redis full-scale ordering broken: Default %d, Hermes %d, Killing %d",
+			jobs[Table1Default], jobs[Table1Hermes], jobs[Table1Killing])
 	}
 }
 

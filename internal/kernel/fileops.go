@@ -39,8 +39,8 @@ func (k *Kernel) Files() []*File {
 }
 
 // FilesOwnedBy returns the files tagged with the given owner PID, sorted by
-// descending size — the order the monitor daemon's largest-file-first policy
-// wants.
+// descending size, names breaking ties. It scans every file, so callers
+// asking about many PIDs should make one pass over Files instead.
 func (k *Kernel) FilesOwnedBy(pid PID) []*File {
 	var out []*File
 	for _, f := range k.files {

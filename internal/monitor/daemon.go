@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/simtime"
@@ -55,6 +57,9 @@ type Daemon struct {
 	registry *Registry
 	task     *simtime.PeriodicTask
 	stats    Stats
+	// advise is the kernel's fadvise(DONTNEED); tests wrap it to record
+	// the release order.
+	advise func(simtime.Time, *kernel.File) (int64, simtime.Duration)
 }
 
 // NewDaemon starts the daemon on the node's scheduler. Stop releases it.
@@ -62,7 +67,7 @@ func NewDaemon(k *kernel.Kernel, registry *Registry, cfg Config) *Daemon {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Daemon{k: k, cfg: cfg, registry: registry}
+	d := &Daemon{k: k, cfg: cfg, registry: registry, advise: k.FadviseDontNeed}
 	d.task = simtime.NewPeriodicTask(k.Scheduler(), cfg.Period, d.tick)
 	return d
 }
@@ -90,17 +95,16 @@ func (d *Daemon) tick(now simtime.Time) simtime.Duration {
 	if d.k.UsedFraction() < d.cfg.AdvThreshold {
 		return busy
 	}
-	files := d.batchFilesLargestFirst()
+	files, cached := d.batchFilesLargestFirst()
 	targetPages := int64(d.cfg.FileCacheTarget * float64(d.k.TotalPages()))
 	at := now.Add(busy)
 	for _, f := range files {
-		if d.batchCachedPages() <= targetPages {
+		if cached <= targetPages {
 			break
 		}
-		if f.CachedPages() == 0 {
-			continue
-		}
-		released, cost := d.k.FadviseDontNeed(at, f)
+		// fadvise drops only f's cache, so the running total stays exact.
+		released, cost := d.advise(at, f)
+		cached -= released
 		busy += cost
 		at = at.Add(cost)
 		d.stats.AdviseCalls++
@@ -109,29 +113,27 @@ func (d *Daemon) tick(now simtime.Time) simtime.Duration {
 	return busy
 }
 
-// batchFilesLargestFirst collects the registered batch jobs' files sorted
-// by cached size descending: releasing the largest file first makes a large
-// chunk of memory available at once and minimises advise calls (§3.3).
-func (d *Daemon) batchFilesLargestFirst() []*kernel.File {
-	var files []*kernel.File
-	for _, pid := range d.registry.BatchPIDs() {
-		files = append(files, d.k.FilesOwnedBy(pid)...)
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].CachedPages() != files[j].CachedPages() {
-			return files[i].CachedPages() > files[j].CachedPages()
+// batchFilesLargestFirst is the tick's one pass over the node's files: it
+// keeps the registered batch jobs' files that hold cache, sorted by cached
+// size descending (names break ties), and returns them with their total
+// cache. Releasing the largest file first makes a large chunk of memory
+// available at once and minimises advise calls (§3.3). The pass costs the
+// same however many PIDs the registry holds.
+func (d *Daemon) batchFilesLargestFirst() ([]*kernel.File, int64) {
+	all := d.k.Files()
+	files := all[:0]
+	var cached int64
+	for _, f := range all {
+		if f.CachedPages() > 0 && d.registry.IsBatch(f.OwnerPID) {
+			files = append(files, f)
+			cached += f.CachedPages()
 		}
-		return files[i].Name < files[j].Name
+	}
+	slices.SortFunc(files, func(a, b *kernel.File) int {
+		if c := cmp.Compare(b.CachedPages(), a.CachedPages()); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Name, b.Name)
 	})
-	return files
-}
-
-func (d *Daemon) batchCachedPages() int64 {
-	var n int64
-	for _, pid := range d.registry.BatchPIDs() {
-		for _, f := range d.k.FilesOwnedBy(pid) {
-			n += f.CachedPages()
-		}
-	}
-	return n
+	return files, cached
 }
