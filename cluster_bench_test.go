@@ -4,9 +4,11 @@
 // whole engine (generation, routing, service models, stats digestion).
 //
 // CI runs these with -benchtime=1x as a smoke test; locally,
-// `go test -bench=BenchmarkCluster -benchmem` gives the comparison, and
-// `hermes-cluster -bench BENCH_cluster.json` captures the committed
-// trajectory at the full 1M-request scale.
+// `go test -bench=BenchmarkCluster -benchmem` gives the comparison (run
+// with GOMAXPROCS=1 for the single-core numbers). The end-to-end,
+// layer-attributed measurement of the same flat load is the benchmark's
+// flat-8n and flat-8n-1core workloads (`bash benchmark/run.sh`), which
+// also check every rep against the sequential oracle's digest.
 package hermes_test
 
 import (

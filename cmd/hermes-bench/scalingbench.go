@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -92,8 +93,23 @@ func parseIntList(s, name string) ([]int, error) {
 	return out, nil
 }
 
+// parseCores parses -scaling-cores into ascending, distinct core counts.
+// Every speedup is taken against the 1-core point, so the list must hold 1.
+func parseCores(s string) ([]int, error) {
+	cores, err := parseIntList(s, "-scaling-cores")
+	if err != nil {
+		return nil, err
+	}
+	slices.Sort(cores)
+	cores = slices.Compact(cores)
+	if cores[0] != 1 {
+		return nil, fmt.Errorf("-scaling-cores %q lacks 1: every speedup is measured against the 1-core point", s)
+	}
+	return cores, nil
+}
+
 func runScalingBench(cfg scalingBenchConfig) error {
-	cores, err := parseIntList(cfg.cores, "-scaling-cores")
+	cores, err := parseCores(cfg.cores)
 	if err != nil {
 		return err
 	}
@@ -115,7 +131,7 @@ func runScalingBench(cfg scalingBenchConfig) error {
 		Seed:       cfg.seed,
 		Reps:       cfg.reps,
 	}
-	if max := maxInt(cores); max > hostCPUs {
+	if cores[len(cores)-1] > hostCPUs {
 		out.Note = fmt.Sprintf("host has %d CPUs: points above %d cores are saturated and cannot scale further; rerun on a wider host for the full curve", hostCPUs, hostCPUs)
 	}
 	prev := runtime.GOMAXPROCS(0)
@@ -173,19 +189,17 @@ func runScalingBench(cfg scalingBenchConfig) error {
 				}
 			}
 			med, lo, hi := stats.MedianSpread(walls)
+			if n == 1 {
+				oneCore = med // parseCores puts the 1-core point first
+			}
 			pt := scalingPoint{
 				GoMaxProcs: n,
 				WallMS:     med,
 				WallMinMS:  lo,
 				WallMaxMS:  hi,
 				ReqsPerSec: float64(cfg.requests) / (med / 1000),
+				Speedup:    oneCore / med,
 				Saturated:  n > hostCPUs,
-			}
-			if n == 1 {
-				oneCore = med
-			}
-			if oneCore > 0 {
-				pt.Speedup = oneCore / med
 			}
 			note := ""
 			if pt.Saturated {
@@ -222,14 +236,4 @@ func runScalingBench(cfg scalingBenchConfig) error {
 	}
 	fmt.Printf("wrote %s\n", cfg.path)
 	return nil
-}
-
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -6,16 +6,15 @@
 //
 // Usage:
 //
-//	hermes-cluster [-nodes 8] [-shards 16] [-shard-replicas 2]
+//	hermes-cluster [-nodes 8] [-shards 16] [-replicas 64] [-shard-replicas 2]
 //	               [-allocators glibc,hermes]
 //	               [-service redis|rocksdb] [-requests 1000000] [-rate 50000]
 //	               [-keys 100000] [-zipf 1.1] [-reads 0.5] [-value 1024]
 //	               [-pressure none|anon|file] [-free-mb 300] [-mem-gb 8]
 //	               [-daemon] [-seed 1] [-per-shard] [-parallel=true]
-//	               [-stats raw|histogram] [-json] [-bench BENCH_cluster.json]
-//	               [-bench-reps 3] [-bench-against committed.json]
-//	               [-bench-gate-pct 15] [-gomaxprocs N]
-//	               [-scenario file.json] [-scale 1.0]
+//	               [-stats raw|histogram] [-json] [-cpuprofile f]
+//	               [-scenario file.json] [-scale 1.0] [-static]
+//	               [-metrics-out f.prom|f.jsonl] [-metrics-period 1s]
 //
 // -scenario loads a declarative scenario spec (phases × traffic classes ×
 // timeline events; see examples/scenarios/) and runs it instead of the
@@ -29,37 +28,27 @@
 // runs the sequential oracle, which executes in global arrival order and
 // produces a bit-identical report). -stats selects exact raw-sample
 // digests or bounded-memory streaming histograms. -json emits the
-// machine-readable reports instead of tables. -bench times Cluster.Run
-// three ways on the identical load — baseline (sequential+raw), parity
-// (parallel+raw) and new (parallel+histogram) — verifies that the raw
-// reports are bit-identical, and writes the trajectory to the given JSON
-// file; every wall is the median of -bench-reps repetitions with the
-// min/max spread recorded. Bench mode pins GOMAXPROCS to 1 (override with
-// -gomaxprocs) so the committed numbers are single-core apples-to-apples —
-// the multi-core story is hermes-bench -bench-scaling's job. At one core
-// both parallel entries take Run's flat partitioned path. -bench-against
-// gates the run
-// against a committed bench file, failing when the new engine's
-// within-run speedup over the sequential baseline drops more than
-// -bench-gate-pct below the committed speedup (a host-speed-invariant
-// statistic; absolute walls are printed as an advisory only).
+// machine-readable reports instead of tables. Setting GOMAXPROCS=1 in the
+// environment pins the run to one core.
+//
+// The simulator's speed is measured by the benchmark in benchmark/ (run
+// `bash benchmark/run.sh`), by the `go test -bench` benchmarks in the
+// repository root, and by hermes-bench -bench-scaling for the multi-core
+// curve; this command only reports wall clocks as an aside.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
 	hermes "github.com/hermes-sim/hermes"
-	"github.com/hermes-sim/hermes/internal/stats"
+	"github.com/hermes-sim/hermes/internal/workload"
 )
 
 func main() {
@@ -91,11 +80,6 @@ func run() error {
 	parallel := flag.Bool("parallel", true, "run nodes on parallel goroutines (off = the sequential oracle)")
 	statsMode := flag.String("stats", "raw", "latency digest backend: raw (exact) or histogram (streaming, bounded memory)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON reports instead of tables")
-	benchPath := flag.String("bench", "", "benchmark seed engine vs overhauled engine and write the JSON trajectory to this file")
-	benchReps := flag.Int("bench-reps", 3, "repetitions per -bench measurement (median wall reported, min/max recorded)")
-	benchAgainst := flag.String("bench-against", "", "committed -bench JSON to gate against: fail when the new engine's within-run speedup regresses beyond -bench-gate-pct")
-	benchGatePct := flag.Float64("bench-gate-pct", 15, "allowed new-engine speedup regression vs -bench-against, percent")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "pin GOMAXPROCS (0 = pin 1 in bench mode, runtime default otherwise)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	scenarioPath := flag.String("scenario", "", "run the scenario spec in this JSON file instead of the flat flag-built load")
 	scale := flag.Float64("scale", 1, "multiply the loaded scenario's durations and request budgets by this factor")
@@ -103,15 +87,6 @@ func run() error {
 	metricsOut := flag.String("metrics-out", "", "write the scenario run's per-window time series to this file (.prom/.txt = Prometheus text exposition, else JSON-lines)")
 	metricsPeriod := flag.Duration("metrics-period", time.Second, "virtual-time window width for -metrics-out samples")
 	flag.Parse()
-
-	// Benchmarks default to a single-core pin so committed BENCH numbers are
-	// comparable across hosts (the multi-core story is -bench-scaling's job);
-	// ordinary runs keep the runtime default unless pinned explicitly.
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	} else if *benchPath != "" {
-		runtime.GOMAXPROCS(1)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -131,6 +106,9 @@ func run() error {
 	cfg.Replicas = *replicas
 	cfg.ShardReplicas = *shardReplicas
 	cfg.ServiceKind = hermes.ServiceKind(*service)
+	if *memGB > math.MaxInt64>>30 {
+		return fmt.Errorf("-mem-gb %d overflows the node's byte count (at most %d)", *memGB, int64(math.MaxInt64>>30))
+	}
 	cfg.Kernel.TotalMemory = *memGB << 30
 	cfg.Kernel.SwapBytes = *memGB << 30
 	cfg.Seed = *seed
@@ -172,9 +150,6 @@ func run() error {
 	}
 
 	if *scenarioPath != "" {
-		if *benchPath != "" {
-			return fmt.Errorf("-scenario and -bench are mutually exclusive (the bench drives its own flat load)")
-		}
 		seedSet := false
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "seed" {
@@ -196,15 +171,6 @@ func run() error {
 	}
 	if *metricsOut != "" {
 		return fmt.Errorf("-metrics-out requires -scenario (the time series rides the scenario path)")
-	}
-
-	if *benchPath != "" {
-		return runBench(cfg, load, kinds, benchOpts{
-			path:    *benchPath,
-			reps:    *benchReps,
-			against: *benchAgainst,
-			gatePct: *benchGatePct,
-		})
 	}
 
 	if !*jsonOut {
@@ -276,10 +242,8 @@ func runScenarioFile(cfg hermes.ClusterConfig, kinds []hermes.AllocatorKind, opt
 		return err
 	}
 	scn := spec.Scenario
-	// NaN fails every comparison, so the guard must demand the positive
-	// range explicitly rather than reject <= 0.
-	if !(opts.scale > 0) || math.IsInf(opts.scale, 1) {
-		return fmt.Errorf("-scale must be a positive, finite number (got %v)", opts.scale)
+	if err := workload.CheckScale("-scale", opts.scale); err != nil {
+		return err
 	}
 	if opts.scale != 1 {
 		scn = scn.Scaled(opts.scale)
@@ -381,201 +345,6 @@ func parseAllocators(s string) ([]hermes.AllocatorKind, error) {
 		return nil, fmt.Errorf("no allocators given")
 	}
 	return kinds, nil
-}
-
-// benchRun is one timed engine measurement inside a bench entry: the
-// median wall of -bench-reps repetitions, with the min/max spread recorded
-// so a noise-dominated median is visible in the committed file instead of
-// masquerading as signal.
-type benchRun struct {
-	Engine    string  `json:"engine"`  // "sequential" or "parallel"
-	Stats     string  `json:"stats"`   // "raw" or "histogram"
-	WallMS    float64 `json:"wall_ms"` // median of reps
-	WallMinMS float64 `json:"wall_min_ms"`
-	WallMaxMS float64 `json:"wall_max_ms"`
-	Reps      int     `json:"reps"`
-	MeanNS    int64   `json:"mean_ns"`
-	P50NS     int64   `json:"p50_ns"`
-	P99NS     int64   `json:"p99_ns"`
-	MaxNS     int64   `json:"max_ns"`
-	Requests  int64   `json:"requests"`
-}
-
-// benchEntry compares the sequential oracle against the parallel engine
-// for one allocator on the identical (config, load) pair.
-type benchEntry struct {
-	Allocator  string   `json:"allocator"`
-	Baseline   benchRun `json:"baseline"` // sequential engine, raw samples (the seed hot path)
-	Parity     benchRun `json:"parity"`   // parallel engine, raw samples (bit-identity check vs baseline)
-	New        benchRun `json:"new"`      // parallel engine, streaming histograms (the overhauled default)
-	Equivalent bool     `json:"equivalent"`
-	Speedup    float64  `json:"speedup"` // baseline wall / new wall
-}
-
-// benchFile is the -bench JSON document.
-type benchFile struct {
-	Generated  string       `json:"generated"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
-	Nodes      int          `json:"nodes"`
-	Shards     int          `json:"shards"`
-	Requests   int64        `json:"requests"`
-	RatePerSec float64      `json:"rate_per_sec"`
-	Seed       uint64       `json:"seed"`
-	Entries    []benchEntry `json:"entries"`
-}
-
-// benchOpts carries the -bench invocation.
-type benchOpts struct {
-	path    string
-	reps    int
-	against string
-	gatePct float64
-}
-
-func runBench(cfg hermes.ClusterConfig, load hermes.LoadConfig, kinds []hermes.AllocatorKind, opts benchOpts) error {
-	if opts.reps < 1 {
-		opts.reps = 1
-	}
-	out := benchFile{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Nodes:      cfg.Nodes,
-		Shards:     cfg.Shards,
-		Requests:   load.Requests,
-		RatePerSec: load.RatePerSec,
-		Seed:       cfg.Seed,
-	}
-
-	timed := func(engine string, sequential bool, mode hermes.StatsMode) (hermes.ClusterReport, benchRun) {
-		c := cfg
-		c.Sequential = sequential
-		c.Stats = mode
-		var rep hermes.ClusterReport
-		walls := make([]float64, opts.reps)
-		for i := range walls {
-			start := time.Now()
-			cl := hermes.NewCluster(c)
-			rep = cl.Run(load) // deterministic: every rep yields the identical report
-			cl.Close()
-			walls[i] = ms(time.Since(start))
-		}
-		med, lo, hi := stats.MedianSpread(walls)
-		return rep, benchRun{
-			Engine:    engine,
-			Stats:     string(mode),
-			WallMS:    med,
-			WallMinMS: lo,
-			WallMaxMS: hi,
-			Reps:      opts.reps,
-			MeanNS:    rep.Cluster.Mean.Nanoseconds(),
-			P50NS:     rep.Cluster.P50.Nanoseconds(),
-			P99NS:     rep.Cluster.P99.Nanoseconds(),
-			MaxNS:     rep.Cluster.Max.Nanoseconds(),
-			Requests:  rep.Requests,
-		}
-	}
-	for _, kind := range kinds {
-		cfg.Allocator = kind
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		fmt.Printf("bench %s: %d requests on %d nodes...\n", kind, load.Requests, cfg.Nodes)
-		baseRep, base := timed("sequential", true, hermes.StatsRaw)
-		parRep, parity := timed("parallel", false, hermes.StatsRaw)
-		_, novel := timed("parallel", false, hermes.StatsHistogram)
-		entry := benchEntry{
-			Allocator:  string(kind),
-			Baseline:   base,
-			Parity:     parity,
-			New:        novel,
-			Equivalent: reflect.DeepEqual(baseRep, parRep),
-			Speedup:    base.WallMS / novel.WallMS,
-		}
-		if !entry.Equivalent {
-			return fmt.Errorf("engine equivalence violated for %s:\nseq %v\npar %v",
-				kind, baseRep.Cluster, parRep.Cluster)
-		}
-		fmt.Printf("  baseline (sequential+raw)  %8.1f ms  [%.1f–%.1f, %d reps]\n", base.WallMS, base.WallMinMS, base.WallMaxMS, base.Reps)
-		fmt.Printf("  parity   (parallel+raw)    %8.1f ms  [%.1f–%.1f]  bit-identical report\n", parity.WallMS, parity.WallMinMS, parity.WallMaxMS)
-		fmt.Printf("  new      (parallel+hist)   %8.1f ms  [%.1f–%.1f]  speedup %.2fx\n", novel.WallMS, novel.WallMinMS, novel.WallMaxMS, entry.Speedup)
-		out.Entries = append(out.Entries, entry)
-	}
-
-	if opts.against != "" {
-		if err := gateAgainst(out, opts.against, opts.gatePct); err != nil {
-			return err
-		}
-	}
-
-	f, err := os.Create(opts.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := hermes.WriteReportJSON(f, out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", opts.path)
-	return nil
-}
-
-// gateAgainst fails the bench when the parallel engine regressed beyond
-// gatePct relative to a committed bench file — the CI tripwire that keeps a
-// perf PR from quietly giving back what an earlier one earned.
-//
-// The gated statistic is the within-run speedup (sequential baseline wall /
-// new-engine wall, both measured in the same process seconds apart), not
-// the absolute wall: wall clocks are only comparable on the same host in
-// the same load phase, and back-to-back identical-binary runs on
-// CPU-quota-throttled containers swing ±30% — an absolute gate at any
-// useful threshold would flake constantly and never survive a CI runner
-// hardware change. The speedup ratio cancels host speed while still
-// catching the failure the gate exists for: the parallel engine losing
-// ground against the sequential one. Absolute min walls are printed as an
-// advisory so drift stays visible in logs. (A regression in code shared by
-// both engines cancels out here; that is what the committed BENCH
-// trajectories and the tier-1 equivalence tests are for.)
-//
-// It compares like configurations only and is deliberately one-sided:
-// being faster than the committed file is always fine.
-func gateAgainst(cur benchFile, path string, gatePct float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading -bench-against file: %w", err)
-	}
-	var base benchFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing -bench-against file %s: %w", path, err)
-	}
-	if base.Nodes != cur.Nodes || base.Shards != cur.Shards || base.Requests != cur.Requests ||
-		base.Seed != cur.Seed || base.GoMaxProcs != cur.GoMaxProcs {
-		return fmt.Errorf("-bench-against config mismatch: committed (nodes=%d shards=%d requests=%d seed=%d gomaxprocs=%d) vs current (nodes=%d shards=%d requests=%d seed=%d gomaxprocs=%d)",
-			base.Nodes, base.Shards, base.Requests, base.Seed, base.GoMaxProcs,
-			cur.Nodes, cur.Shards, cur.Requests, cur.Seed, cur.GoMaxProcs)
-	}
-	for _, b := range base.Entries {
-		for _, c := range cur.Entries {
-			if b.Allocator != c.Allocator {
-				continue
-			}
-			if b.Speedup <= 0 || c.Speedup <= 0 {
-				continue
-			}
-			pct := (b.Speedup - c.Speedup) / b.Speedup * 100
-			if pct > gatePct {
-				return fmt.Errorf("bench regression: %s new-engine speedup %.2fx vs committed %.2fx (-%.1f%% > %.0f%% gate)",
-					c.Allocator, c.Speedup, b.Speedup, pct, gatePct)
-			}
-			fmt.Printf("  gate %s speedup %.2fx vs committed %.2fx (%+.1f%%, gate %.0f%%); advisory min walls: baseline %.1f vs %.1f ms, new %.1f vs %.1f ms\n",
-				c.Allocator, c.Speedup, b.Speedup, -pct, gatePct,
-				c.Baseline.WallMinMS, b.Baseline.WallMinMS, c.New.WallMinMS, b.New.WallMinMS)
-		}
-	}
-	return nil
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -33,7 +33,7 @@ const validSpecDoc = `{
 
 // TestRunScenarioFileErrors: every way a -scenario invocation can be
 // malformed — a missing file, broken JSON, an unknown event kind, a bad
-// duration, an invalid -scale — surfaces as an error that names the
+// duration, a node size that overflows, an invalid -scale — surfaces as an error that names the
 // offending field, never a panic and never a silent fallback run.
 func TestRunScenarioFileErrors(t *testing.T) {
 	cfg := hermes.DefaultClusterConfig()
@@ -61,7 +61,11 @@ func TestRunScenarioFileErrors(t *testing.T) {
 		{"policies without slo", opts(writeSpec(t,
 			`{"name":"t","phases":[{"name":"p","duration":"5ms","classes":[{"name":"c","rate":1000,"keys":100,"reads":0.5,"value_bytes":512}]}],"policies":{"shed":{"step":0.2,"max":0.8}}}`), 1),
 			"Policies requires an SLO"},
+		{"mem_gb overflow", opts(writeSpec(t,
+			`{"cluster":{"mem_gb":17179869184},"scenario":`+validSpecDoc+`}`), 1),
+			"mem_gb 17179869184 overflows"},
 		{"zero scale", opts(writeSpec(t, validSpecDoc), 0), "-scale must be a positive"},
+		{"negative scale", opts(writeSpec(t, validSpecDoc), -1), "-scale must be a positive"},
 		{"NaN scale", opts(writeSpec(t, validSpecDoc), math.NaN()), "-scale must be a positive"},
 		{"infinite scale", opts(writeSpec(t, validSpecDoc), math.Inf(1)), "-scale must be a positive"},
 	}
@@ -98,14 +102,7 @@ func TestRunScenarioFileSmoke(t *testing.T) {
 // a malformed -scenario file: the process must exit non-zero with a
 // field-named message on stderr — the contract CI smoke steps rely on.
 func TestCLIExitsNonZeroOnInvalidScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping binary build")
-	}
-	bin := filepath.Join(t.TempDir(), "hermes-cluster")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build failed: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
 	spec := writeSpec(t,
 		`{"name":"t","phases":[{"name":"p","duration":"5ms","classes":[{"name":"c","rate":1000,"keys":100,"reads":0.5,"value_bytes":512}]}],"events":[{"at":"1ms","kind":"degrade-node","node":0,"factor":0.5}]}`)
 	var stderr bytes.Buffer
@@ -126,4 +123,46 @@ func TestCLIExitsNonZeroOnInvalidScenario(t *testing.T) {
 	if !strings.Contains(msg, "hermes-cluster:") || !strings.Contains(msg, "Factor must be > 1") {
 		t.Fatalf("stderr %q lacks the field-named diagnostic", msg)
 	}
+}
+
+// TestCLIRejectsBadMemGB: a node size of zero or below, or one whose byte
+// count overflows int64, exits 1 with a one-line field-named error
+// instead of a kernel panic or a silently wrapped size.
+func TestCLIRejectsBadMemGB(t *testing.T) {
+	bin := buildCLI(t)
+	for _, tc := range []struct{ arg, want string }{
+		{"0", "cluster: Kernel: kernel: bad memory geometry: total=0"},
+		{"-1", "cluster: Kernel: kernel: bad memory geometry: total=-1073741824"},
+		{"17179869185", "-mem-gb 17179869185 overflows"},
+	} {
+		t.Run(tc.arg, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, "-mem-gb", tc.arg, "-nodes", "1", "-shards", "1", "-requests", "10", "-allocators", "glibc")
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			exit, ok := err.(*exec.ExitError)
+			if !ok || exit.ExitCode() != 1 {
+				t.Fatalf("-mem-gb %s: got %v, want exit 1", tc.arg, err)
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "hermes-cluster: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.want) {
+				t.Fatalf("-mem-gb %s: stderr %q, want one hermes-cluster line containing %q", tc.arg, msg, tc.want)
+			}
+		})
+	}
+}
+
+// buildCLI builds the real binary into a temp dir; short mode skips the
+// tests that need it.
+func buildCLI(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("short mode: skipping binary build")
+	}
+	bin := filepath.Join(t.TempDir(), "hermes-cluster")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build failed: %v\n%s", err, out)
+	}
+	return bin
 }

@@ -18,6 +18,7 @@ import (
 
 	hermes "github.com/hermes-sim/hermes"
 	"github.com/hermes-sim/hermes/internal/batch"
+	"github.com/hermes-sim/hermes/internal/workload"
 )
 
 func main() {
@@ -85,6 +86,9 @@ func main() {
 // runAdaptive runs the scenario and prints the adaptive control plane's
 // decision timeline.
 func runAdaptive(path string, scale float64) error {
+	if err := workload.CheckScale("-scale", scale); err != nil {
+		return err
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err

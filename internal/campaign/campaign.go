@@ -149,8 +149,8 @@ func build(spec Spec, sdata []byte) (*Campaign, error) {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if !(c.Scale > 0) {
-		return nil, fmt.Errorf("campaign %q: scale must be positive (got %v)", spec.Name, c.Scale)
+	if err := workload.CheckScale("scale", c.Scale); err != nil {
+		return nil, fmt.Errorf("campaign %q: %w", spec.Name, err)
 	}
 	if spec.MetricsPeriod != "" {
 		d, err := time.ParseDuration(spec.MetricsPeriod)
@@ -198,10 +198,13 @@ const (
 // ScaleBy layers a CLI scale multiplier onto the spec's scale — the way a
 // committed campaign shrinks onto a CI budget.
 func (c *Campaign) ScaleBy(f float64) error {
-	if !(f > 0) {
-		return fmt.Errorf("campaign: scale multiplier must be positive (got %v)", f)
+	if err := workload.CheckScale("campaign: scale multiplier", f); err != nil {
+		return err
 	}
-	c.Scale = c.Scale * f
+	if err := workload.CheckScale(fmt.Sprintf("campaign: scale %v × multiplier %v", c.Scale, f), c.Scale*f); err != nil {
+		return err
+	}
+	c.Scale *= f
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -201,7 +202,7 @@ func TestLoadRejects(t *testing.T) {
 		{"bad period", func(s string) string { return strings.Replace(s, `"20ms"`, `"-20ms"`, 1) }, "metrics_period"},
 		{"bad scale", func(s string) string {
 			return strings.Replace(s, `"metrics_period": "20ms",`, `"scale": -1, "metrics_period": "20ms",`, 1)
-		}, "scale must be positive"},
+		}, "scale must be a positive, finite number (got -1)"},
 		// Every spec layer decodes strictly: an unknown or retired key fails
 		// by name instead of silently running the default.
 		{"class generator", func(s string) string {
@@ -220,6 +221,28 @@ func TestLoadRejects(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestScaleByRejects: a CLI scale multiplier that is not positive and
+// finite, or one that overflows the spec's scale, fails by name and leaves
+// the campaign's scale untouched.
+func TestScaleByRejects(t *testing.T) {
+	c := loadMini(t)
+	for _, f := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if err := c.ScaleBy(f); err == nil || !strings.Contains(err.Error(), "scale multiplier must be a positive, finite number") {
+			t.Errorf("ScaleBy(%v) = %v", f, err)
+		}
+	}
+	c.Scale = 1e300
+	if err := c.ScaleBy(1e300); err == nil || !strings.Contains(err.Error(), "must be a positive, finite number (got +Inf)") {
+		t.Errorf("overflowing ScaleBy = %v", err)
+	}
+	if c.Scale != 1e300 {
+		t.Errorf("rejected ScaleBy changed the scale to %v", c.Scale)
+	}
+	if err := c.ScaleBy(0.5); err != nil || c.Scale != 5e299 {
+		t.Errorf("ScaleBy(0.5) = %v, scale %v, want nil, 5e299", err, c.Scale)
 	}
 }
 

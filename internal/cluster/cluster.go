@@ -142,6 +142,9 @@ func (c Config) Validate() error {
 	if c.ShardReplicas > c.Nodes {
 		return fmt.Errorf("cluster: ShardReplicas %d exceeds the %d-node fleet (a chain needs distinct nodes)", c.ShardReplicas, c.Nodes)
 	}
+	if err := c.Kernel.Validate(); err != nil {
+		return fmt.Errorf("cluster: Kernel: %w", err)
+	}
 	switch c.Allocator {
 	case AllocGlibc, AllocJemalloc, AllocTCMalloc, AllocHermes:
 	default:

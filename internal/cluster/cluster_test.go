@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/hermes-sim/hermes/internal/batch"
@@ -31,6 +33,28 @@ func runOnce(t *testing.T, kind AllocatorKind) Report {
 	c := New(testClusterConfig(kind))
 	defer c.Close()
 	return c.Run(testLoad())
+}
+
+// TestConfigValidateKernel: a node kernel New cannot build (no memory,
+// negative memory, a size that is not whole pages) fails Config.Validate
+// by field rather than panicking in New, and a scenario file's mem_gb
+// whose byte count would overflow is rejected by name, not wrapped.
+func TestConfigValidateKernel(t *testing.T) {
+	for _, total := range []int64{0, -1 << 30, 1<<30 + 1} {
+		cfg := DefaultConfig()
+		cfg.Kernel.TotalMemory = total
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "cluster: Kernel: kernel: bad memory geometry") {
+			t.Errorf("TotalMemory %d: got %v", total, err)
+		}
+	}
+	o := &SpecOverrides{MemGB: math.MaxInt64>>30 + 1}
+	if _, err := o.Apply(DefaultConfig()); err == nil || !strings.Contains(err.Error(), "mem_gb") {
+		t.Errorf("overflowing mem_gb: got %v", err)
+	}
+	o.MemGB = math.MaxInt64 >> 30
+	if cfg, err := o.Apply(DefaultConfig()); err != nil || cfg.Kernel.TotalMemory != o.MemGB<<30 {
+		t.Errorf("largest mem_gb: got %v, TotalMemory %d", err, cfg.Kernel.TotalMemory)
+	}
 }
 
 func TestClusterRunDeterministic(t *testing.T) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"github.com/hermes-sim/hermes/internal/workload"
 )
@@ -64,6 +65,9 @@ func (o *SpecOverrides) Apply(cfg Config) (Config, error) {
 	}
 	if o.Allocator != "" {
 		cfg.Allocator = o.Allocator
+	}
+	if o.MemGB > math.MaxInt64>>30 {
+		return cfg, fmt.Errorf("scenario cluster overrides: mem_gb %d overflows the node's byte count (at most %d)", o.MemGB, int64(math.MaxInt64>>30))
 	}
 	if o.MemGB > 0 {
 		cfg.Kernel.TotalMemory = o.MemGB << 30

@@ -82,7 +82,9 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() error {
+// Validate reports whether the configuration is well-formed; New panics
+// on a configuration it rejects.
+func (c Config) Validate() error {
 	if c.TotalMemory <= 0 || c.PageSize <= 0 || c.TotalMemory%c.PageSize != 0 {
 		return fmt.Errorf("kernel: bad memory geometry: total=%d page=%d", c.TotalMemory, c.PageSize)
 	}
@@ -156,7 +158,7 @@ type Kernel struct {
 
 // New creates a kernel on the given scheduler.
 func New(sched *simtime.Scheduler, cfg Config) *Kernel {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	k := &Kernel{

@@ -3,11 +3,10 @@ package stats
 import (
 	"math"
 	"sort"
-	"time"
 )
 
 // This file is the replica-statistics toolkit the campaign harness (and the
-// bench harnesses' median-of-reps discipline) build on: quantiles over small
+// scaling bench's median-of-reps discipline) build on: quantiles over small
 // float samples, median-with-spread, and a deterministic bootstrap
 // confidence interval for the median. Everything here is a pure function of
 // its inputs — BootstrapCI draws its resamples from an explicit seed — so
@@ -51,10 +50,10 @@ func quantileSorted(s []float64, q float64) float64 {
 // for odd counts, the midpoint of the two middle elements for even counts.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// MedianSpread returns the median, minimum and maximum of xs — the bench
-// harnesses' median-of-reps discipline: the median is the committed number,
-// the spread makes a noise-dominated median visible instead of letting it
-// masquerade as signal. Returns zeros for an empty slice.
+// MedianSpread returns the median, minimum and maximum of xs — the
+// scaling bench's median-of-reps discipline: the median is the committed
+// number, the spread makes a noise-dominated median visible instead of
+// letting it masquerade as signal. Returns zeros for an empty slice.
 func MedianSpread(xs []float64) (med, lo, hi float64) {
 	if len(xs) == 0 {
 		return 0, 0, 0
@@ -62,20 +61,6 @@ func MedianSpread(xs []float64) (med, lo, hi float64) {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return quantileSorted(s, 0.5), s[0], s[len(s)-1]
-}
-
-// MedianDuration returns the median of ds under the same convention as
-// Median (midpoint interpolation on even counts, rounded to the nearest
-// nanosecond). The wall-clock flavour of the median-of-reps discipline.
-func MedianDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = float64(d)
-	}
-	return time.Duration(math.Round(Median(xs)))
 }
 
 // splitmix64 advances one step of the splitmix64 sequence — the same

@@ -68,17 +68,6 @@ func TestMedianSpread(t *testing.T) {
 	}
 }
 
-func TestMedianDuration(t *testing.T) {
-	ds := []time.Duration{40 * time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond}
-	if got := MedianDuration(ds); got != 30*time.Millisecond {
-		t.Errorf("MedianDuration = %v, want 30ms", got)
-	}
-	even := []time.Duration{10, 20}
-	if got := MedianDuration(even); got != 15 {
-		t.Errorf("even MedianDuration = %v, want 15ns", got)
-	}
-}
-
 // TestBootstrapCI checks the interval's defining properties on a known
 // distribution: deterministic under a fixed seed, contains the sample
 // median, and tightens as the sample grows (the 1/√n contraction every

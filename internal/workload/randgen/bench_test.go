@@ -7,9 +7,11 @@ import (
 )
 
 // Per-primitive benchmarks against the stdlib reference samplers the
-// package replaces. The headline pair is RandgenZipfExpPath vs
-// RandgenZipfExpPathLegacy — the per-request draw combination
-// (Zipf key + exponential gap) ISSUE 4's ≥3× acceptance gate measures.
+// package replaces. The two headline pairs are the per-request draws:
+// RandgenZipfExpPath vs RandgenZipfExpPathLegacy (Zipf key + exponential
+// gap, the ≥3× gate the generator was built against) and
+// RandgenJitterPath vs RandgenJitterPathLegacy (the log-normal jitter
+// multiplier).
 
 var (
 	sinkU uint64
@@ -101,5 +103,25 @@ func BenchmarkRandgenZipfExpPathLegacy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkU += z.Uint64()
 		sinkF += r.ExpFloat64()
+	}
+}
+
+// The jitter pair: the log-normal latency multiplier exp(σ·Z) drawn once
+// per served request, at σ = 0.13 (the kernel cost model's default
+// JitterSigma).
+
+const benchJitterSigma = 0.13
+
+func BenchmarkRandgenJitterPath(b *testing.B) {
+	s := New(1)
+	for i := 0; i < b.N; i++ {
+		sinkF += FastExp(s.NormFloat64() * benchJitterSigma)
+	}
+}
+
+func BenchmarkRandgenJitterPathLegacy(b *testing.B) {
+	r := randv2.New(randv2.NewPCG(1, 1^0x9e3779b97f4a7c15))
+	for i := 0; i < b.N; i++ {
+		sinkF += math.Exp(r.NormFloat64() * benchJitterSigma)
 	}
 }

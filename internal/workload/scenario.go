@@ -725,6 +725,16 @@ func (s Scenario) End() simtime.Time {
 	return end
 }
 
+// CheckScale rejects a Scaled factor unless it is positive and finite;
+// the error names the field that carried it. NaN fails every comparison,
+// so the range is demanded explicitly rather than <= 0 rejected.
+func CheckScale(field string, f float64) error {
+	if f > 0 && !math.IsInf(f, 1) {
+		return nil
+	}
+	return fmt.Errorf("%s must be a positive, finite number (got %v)", field, f)
+}
+
 // Scaled returns a copy with every duration and request budget multiplied
 // by f — the CLI's way of shrinking a committed preset onto a CI budget
 // (or stretching it for a long soak). Durations nested in event payloads
@@ -736,9 +746,10 @@ func (s Scenario) End() simtime.Time {
 // Latency-domain durations — Resilience timeouts/backoffs/hedges and the
 // SLO's p99 target — do NOT scale: service latencies are scale-invariant,
 // so scaling client deadlines would change what the scenario measures.
+// It panics on a factor CheckScale rejects.
 func (s Scenario) Scaled(f float64) Scenario {
-	if f <= 0 {
-		panic(fmt.Sprintf("workload: scenario scale must be > 0 (got %v)", f))
+	if err := CheckScale("scenario scale", f); err != nil {
+		panic("workload: " + err.Error())
 	}
 	scaleDur := func(d simtime.Duration) simtime.Duration {
 		scaled := simtime.Duration(float64(d) * f)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -394,5 +395,30 @@ func TestScenarioScaled(t *testing.T) {
 	tiny := s.Scaled(0.00001)
 	if tiny.Phases[2].Requests != 1 {
 		t.Errorf("tiny budget %d, want floor 1", tiny.Phases[2].Requests)
+	}
+}
+
+// TestCheckScale: the one scale check every surface shares accepts only
+// positive, finite factors, names the field it was given, and is the
+// guard Scaled panics behind.
+func TestCheckScale(t *testing.T) {
+	for _, f := range []float64{1e-9, 0.05, 1, 1e9} {
+		if err := CheckScale("-scale", f); err != nil {
+			t.Errorf("CheckScale(%v) = %v, want nil", f, err)
+		}
+	}
+	for _, f := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := CheckScale("-scale", f)
+		if err == nil || !strings.HasPrefix(err.Error(), "-scale must be a positive, finite number") {
+			t.Errorf("CheckScale(%v) = %v, want a -scale error", f, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Scaled(%v) did not panic", f)
+				}
+			}()
+			multiClassScenario().Scaled(f)
+		}()
 	}
 }

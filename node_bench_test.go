@@ -1,13 +1,11 @@
 // Single-node hot-path benchmarks: one node, one shard, the default
-// open-loop load — the per-request path ISSUE 3 rebuilt to be
-// (near-)zero-allocation: flat service tables, pooled Blocks with inline
-// meta, intrusive LRU spans. Tracked alongside BenchmarkCluster* from
-// PR 3 on.
+// open-loop load — the (near-)zero-allocation per-request path: flat
+// service tables, pooled Blocks with inline meta, intrusive LRU spans.
 //
 // CI runs these with -benchtime=1x as a smoke test; locally,
-// `go test -bench=BenchmarkNode -benchmem` gives the comparison, and
-// `hermes-bench -bench-node BENCH_node.json` captures the committed
-// trajectory at the full 1M-request scale (see EXPERIMENTS.md).
+// `go test -bench=BenchmarkNode -benchmem` gives the per-allocator
+// comparison: ns/op for the wall, allocs/op and B/op for the Go
+// allocator churn of the whole node path.
 package hermes_test
 
 import (

@@ -2,10 +2,9 @@
 // samplers (splittable splitmix64 streams, alias-table Zipf, ziggurat
 // exponentials).
 //
-// CI runs it with -benchtime=1x as a smoke test; the committed
-// BENCH_workload.json records the per-draw samplers against the stdlib
-// algorithms via `hermes-bench -bench-workload` (see EXPERIMENTS.md).
-// Per-primitive comparisons (Zipf, exp, normal, FastExp) live in
+// CI runs it with -benchtime=1x as a smoke test. Per-primitive and
+// per-draw comparisons against the stdlib algorithms (Zipf, exp, normal,
+// FastExp, the Zipf+exp request draw and the log-normal jitter) live in
 // internal/workload/randgen's benchmarks.
 package hermes_test
 
