@@ -181,11 +181,6 @@ type (
 	// MigrationRecord is one record of a shard-migration batch — the unit
 	// Service.ImportRecords ingests and Service.ExportRecords emits.
 	MigrationRecord = services.ImportEntry
-	// ScenarioDriver generates a scenario's merged request stream.
-	ScenarioDriver = workload.ScenarioDriver
-	// ScenarioRequest is one generated request annotated with its phase
-	// and class.
-	ScenarioRequest = workload.ScenarioRequest
 
 	// ScenarioReport digests one scenario run: the base ClusterReport
 	// plus per-phase × per-class × per-node latency digests.
@@ -390,11 +385,6 @@ func (n *Node) RunMicroBench(a Allocator, requestSize, totalBytes int64, rec *Re
 // NewRecorder creates a raw-mode latency recorder labelled name.
 func NewRecorder(name string) *Recorder { return stats.NewRecorder(name) }
 
-// NewStreamingRecorder creates a histogram-mode latency recorder: O(1)
-// record, memory bounded regardless of sample count, percentiles within
-// ≤1% relative error — the right recorder for fleet-scale runs.
-func NewStreamingRecorder(name string) *Recorder { return stats.NewStreamingRecorder(name) }
-
 // NewCluster boots a fleet of simulated nodes with the configured shard
 // placement; drive it with Cluster.Run. Close releases every node's
 // background machinery.
@@ -408,39 +398,14 @@ func DefaultClusterConfig() ClusterConfig { return cluster.DefaultConfig() }
 // 50 k req/s, 100 k keys with mild Zipf skew, half reads, 1 KB values.
 func DefaultLoadConfig() LoadConfig { return workload.DefaultLoadConfig() }
 
-// NewShardRouter builds a consistent-hashing router over the named nodes.
-func NewShardRouter(nodeNames []string, shards, replicas int) *ShardRouter {
-	return cluster.NewShardRouter(nodeNames, shards, replicas)
-}
-
 // NewLoadDriver creates an open-loop request generator; the same config
 // reproduces the identical stream.
 func NewLoadDriver(cfg LoadConfig) *LoadDriver { return workload.NewLoadDriver(cfg) }
-
-// NewScenarioDriver creates a scenario's merged request generator; the
-// same scenario reproduces the identical stream. Most callers want
-// Cluster.RunScenario, which also fires the event timeline.
-func NewScenarioDriver(scn Scenario) *ScenarioDriver { return workload.NewScenarioDriver(scn) }
-
-// ScenarioFromLoad lifts a flat LoadConfig onto the scenario surface: one
-// request-bounded phase, one class, no events — the exact stream
-// Cluster.Run drives.
-func ScenarioFromLoad(cfg LoadConfig) Scenario { return workload.ScenarioFromLoad(cfg) }
-
-// ParseScenario decodes and validates a scenario JSON document (durations
-// as Go duration strings; see examples/scenarios/).
-func ParseScenario(data []byte) (Scenario, error) { return workload.ParseScenario(data) }
-
-// MarshalScenarioJSON encodes a scenario into the spec-file wire format.
-func MarshalScenarioJSON(s Scenario) ([]byte, error) { return workload.MarshalScenarioJSON(s) }
 
 // ParseScenarioSpec decodes a scenario spec file: a bare scenario
 // document, or one wrapped with optional cluster-shape hints under a
 // "cluster" key.
 func ParseScenarioSpec(data []byte) (ScenarioSpec, error) { return cluster.ParseScenarioSpec(data) }
-
-// DefaultMetricsConfig samples the time series once per virtual second.
-func DefaultMetricsConfig() MetricsConfig { return metrics.DefaultConfig() }
 
 // WriteMetricsJSONL writes a metrics series as JSON-lines (one sample
 // object per line); ParseMetricsJSONL reads the stream back.

@@ -202,7 +202,7 @@ func (c *Cluster) newRecorder(name string) *stats.Recorder {
 
 // Shard is one service shard: a Service plus its allocator on each node of
 // its replica chain (just the primary when the cluster is unreplicated),
-// with its own latency digest.
+// with the latency digest of the most recent run.
 type Shard struct {
 	// ID is the shard index in [0, Config.Shards).
 	ID int
@@ -215,10 +215,6 @@ type Shard struct {
 	// instances[0] is the primary (node, svc above). Failover serves on
 	// the first instance whose node is in rotation.
 	instances []shardInstance
-
-	requests int64
-	reads    int64
-	writes   int64
 }
 
 // shardInstance is one placement of a shard: a full service instance on
@@ -234,25 +230,12 @@ func (s *Shard) Node() *Node { return s.node }
 // Service returns the shard's primary service instance.
 func (s *Shard) Service() services.Service { return s.svc }
 
-// Replica returns the shard's service instance at chain position i (0 is
-// the primary).
-func (s *Shard) Replica(i int) services.Service { return s.instances[i].svc }
-
 // ReplicaCount returns the length of the shard's replica chain.
 func (s *Shard) ReplicaCount() int { return len(s.instances) }
 
-// Recorder returns the shard's latency digest (accumulated across runs).
+// Recorder returns the shard's latency digest of the most recent run
+// (empty before the first), whose summary is that run's PerShard entry.
 func (s *Shard) Recorder() *stats.Recorder { return s.rec }
-
-// Requests, Reads and Writes count the operations the shard has served
-// across all runs.
-func (s *Shard) Requests() int64 { return s.requests }
-
-// Reads counts the read operations the shard has served.
-func (s *Shard) Reads() int64 { return s.reads }
-
-// Writes counts the write operations the shard has served.
-func (s *Shard) Writes() int64 { return s.writes }
 
 // Node is one simulated machine of the cluster: its own scheduler and
 // kernel (so node clocks advance independently between requests), the
@@ -266,7 +249,6 @@ type Node struct {
 	sched    *simtime.Scheduler
 	kernel   *kernel.Kernel
 	shards   []*Shard
-	rec      *stats.Recorder
 	registry *monitor.Registry
 	daemon   *monitor.Daemon
 	pressure *workload.Pressure
@@ -326,7 +308,6 @@ func New(cfg Config) *Cluster {
 			Name:   names[i],
 			sched:  sched,
 			kernel: kernel.New(sched, kcfg),
-			rec:    c.newRecorder(names[i]),
 		}
 		if cfg.Allocator == AllocHermes {
 			n.registry = monitor.NewRegistry()
@@ -728,16 +709,14 @@ func fmtBytes(n int64) string {
 	}
 }
 
-// runState holds one run's run-local digests: one latency recorder and
-// read/write counter pair per shard INSTANCE, and one queue-wait recorder
-// plus read/write counters per node. Everything a request records lands in
-// state owned by its serving node — with failover the instances of one
-// shard live on different nodes, so shard-level digests are only assembled
-// at finish — which lets concurrent node goroutines fill the slices
-// without sharing.
+// runState holds one run's run-local digests: one latency recorder per
+// shard INSTANCE, and one queue-wait recorder plus read/write counters per
+// node. Everything a request records lands in state owned by its serving
+// node — with failover the instances of one shard live on different nodes,
+// so shard-level digests are only assembled at finish — which lets
+// concurrent node goroutines fill the slices without sharing.
 type runState struct {
 	shard [][]*stats.Recorder // indexed by shard ID, chain position
-	ops   [][]opCounters      // indexed by shard ID, chain position
 	wait  []*stats.Recorder   // indexed by node index
 	node  []nodeCounters      // indexed by node index
 	// degrade is the per-node service-slowdown schedule compiled from
@@ -747,19 +726,10 @@ type runState struct {
 	degrade [][]factorWindow
 }
 
-// opCounters tallies one shard instance's operations. Padded to a cache
-// line: instances of different shards are served by different node
-// goroutines every request, and unpadded 16-byte counters packed into
-// adjacent lines turn those independent increments into cross-core
-// line bouncing.
-type opCounters struct {
-	reads, writes int64
-	_             [48]byte
-}
-
-// nodeCounters tallies one node's operations, padded for the same reason as
-// opCounters: every node goroutine increments its own entry on every
-// request.
+// nodeCounters tallies one node's operations. Padded to a cache line:
+// every node goroutine increments its own entry on every request, and
+// unpadded 16-byte counters packed into adjacent lines turn those
+// independent increments into cross-core line bouncing.
 type nodeCounters struct {
 	reads, writes int64
 	_             [48]byte
@@ -768,7 +738,6 @@ type nodeCounters struct {
 func (c *Cluster) newRunState() *runState {
 	st := &runState{
 		shard: make([][]*stats.Recorder, len(c.shards)),
-		ops:   make([][]opCounters, len(c.shards)),
 		wait:  make([]*stats.Recorder, len(c.nodes)),
 		node:  make([]nodeCounters, len(c.nodes)),
 	}
@@ -777,7 +746,6 @@ func (c *Cluster) newRunState() *runState {
 		for inst := range sh.instances {
 			st.shard[i][inst] = c.newRecorder(sh.rec.Name())
 		}
-		st.ops[i] = make([]opCounters, len(sh.instances))
 	}
 	for i, n := range c.nodes {
 		st.wait[i] = c.newRecorder(n.Name + "/wait")
@@ -811,11 +779,9 @@ func (c *Cluster) serveOn(st *runState, shardID, inst int, req workload.Request)
 	case workload.OpWrite:
 		raw = in.svc.Insert(req.Key, req.ValueBytes)
 		preMapped = in.svc.LastPreMapped()
-		st.ops[shardID][inst].writes++
 		st.node[n.Index].writes++
 	case workload.OpRead:
 		raw = in.svc.Read(req.Key)
-		st.ops[shardID][inst].reads++
 		st.node[n.Index].reads++
 	}
 	if st.degrade != nil {
@@ -827,9 +793,7 @@ func (c *Cluster) serveOn(st *runState, shardID, inst int, req workload.Request)
 		}
 	}
 	// The server occupies the node for the raw service time; the client
-	// observes queueing plus the jittered service time. The shard's
-	// cumulative counters fold in at finish — with failover another node's
-	// goroutine may be serving a different instance of this shard right now.
+	// observes queueing plus the jittered service time.
 	lat := wait + workload.JitterRequest(n.kernel, raw, preMapped)
 	n.sched.Advance(raw)
 	st.shard[shardID][inst].Record(lat)
@@ -838,11 +802,10 @@ func (c *Cluster) serveOn(st *runState, shardID, inst int, req workload.Request)
 }
 
 // finish settles the fleet on a common horizon, merges the run-local
-// digests into the persistent shard and node recorders, and assembles the
-// Report. Merge order is canonical — shards in ID order within a node,
-// nodes in index order across the cluster — so the Report is a pure
-// function of the per-node execution results, independent of which engine
-// produced them.
+// digests into shard, node and cluster digests, and assembles the Report.
+// Merge order is canonical — shards in ID order within a node, nodes in
+// index order across the cluster — so the Report is a pure function of the
+// per-node execution results, independent of which engine produced them.
 func (c *Cluster) finish(st *runState) Report {
 	// Settle the fleet on a common horizon so background work (management
 	// threads, kswapd, daemons) finishes the same window on every node.
@@ -856,20 +819,13 @@ func (c *Cluster) finish(st *runState) Report {
 		n.sched.RunUntil(horizon)
 	}
 
-	// Fold the per-instance run counters into the shards' cumulative
-	// counters (single-threaded here; the hot path never touches them) and
-	// assemble each shard's digest from its instances in chain order.
-	shardRecs := make([]*stats.Recorder, len(c.shards))
+	// Assemble each shard's digest from its instances in chain order.
 	for id, sh := range c.shards {
 		rec := c.newRecorder(sh.rec.Name())
 		for inst := range sh.instances {
 			rec.Merge(st.shard[id][inst])
-			sh.reads += st.ops[id][inst].reads
-			sh.writes += st.ops[id][inst].writes
-			sh.requests += st.ops[id][inst].reads + st.ops[id][inst].writes
 		}
-		shardRecs[id] = rec
-		sh.rec.Merge(rec)
+		sh.rec = rec
 	}
 
 	report := Report{Allocator: c.cfg.Allocator, Service: c.cfg.Service(), Stats: c.cfg.StatsBackend()}
@@ -903,7 +859,6 @@ func (c *Cluster) finish(st *runState) Report {
 				}
 			}
 		}
-		n.rec.Merge(runNode)
 		clusterRec.Merge(runNode)
 		waitRec.Merge(st.wait[i])
 		report.Reads += st.node[i].reads
@@ -918,8 +873,8 @@ func (c *Cluster) finish(st *runState) Report {
 	report.Requests = report.Reads + report.Writes
 	report.Cluster = clusterRec.Summarize()
 	report.Wait = waitRec.Summarize()
-	for i := range c.shards {
-		report.PerShard = append(report.PerShard, shardRecs[i].Summarize())
+	for _, sh := range c.shards {
+		report.PerShard = append(report.PerShard, sh.rec.Summarize())
 	}
 	return report
 }
@@ -944,8 +899,7 @@ func (c *Cluster) finish(st *runState) Report {
 //
 // Run may be called repeatedly with successive streams. Every digest in
 // the returned Report covers exactly that run (PerNode and PerShard sum to
-// Cluster); the shard and node Recorders keep accumulating across runs for
-// callers inspecting the whole history.
+// Cluster), and each shard's Recorder holds that run's shard digest.
 func (c *Cluster) Run(load workload.LoadConfig) Report {
 	rep, err := c.RunScenario(workload.ScenarioFromLoad(load))
 	if err != nil {

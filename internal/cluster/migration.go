@@ -38,11 +38,12 @@ type downWindow struct {
 	kill    simtime.Time
 	restore simtime.Time
 	drop    bool
-	// manifest follows the routed write stream, not per-request fates: in
-	// the rare cascade where a failover target is itself later killed
-	// with a drop policy, a severed write still replays — the replica
-	// accepted it into its log before dying. That keeps the manifest a
-	// pure function of the schedule.
+	// manifest follows the routed write stream minus fault-window errors,
+	// both fixed at generation, not serve-time fates: in the rare cascade
+	// where a failover target is itself later killed with a drop policy,
+	// a severed write still replays — the replica accepted it into its
+	// log before dying. That keeps the manifest a pure function of
+	// generation.
 	manifest *migrationManifest
 }
 
@@ -215,6 +216,19 @@ func (c *Cluster) routeInstance(t *topology, shard int, at simtime.Time) (int, b
 		}
 	}
 	return 0, false
+}
+
+// divertWrite adds a write that routing diverted past its down primary
+// (inst > 0) to that outage's manifest, replayed at the restore. An errored
+// write never reaches the replica's service, so it leaves no entry; both
+// generation paths call this after drawing the fault verdict.
+func (c *Cluster) divertWrite(t *topology, shard, inst int, req workload.Request, errored bool) {
+	if t == nil || inst == 0 || errored || req.Op != workload.OpWrite {
+		return
+	}
+	if w := t.window(c.chains[shard][0], req.At); w != nil && w.manifest != nil {
+		w.manifest.add(int32(shard), req.Key, req.ValueBytes)
+	}
 }
 
 // replayMigration re-fills a restored node's primary shards from the

@@ -104,31 +104,26 @@ func TestRunDispatchesOnSequentialFlag(t *testing.T) {
 	reportsEqual(t, seq, par)
 }
 
-func TestParallelPersistentRecordersAccumulate(t *testing.T) {
-	cfg := testClusterConfig(AllocGlibc)
-	c := New(cfg)
-	defer c.Close()
-	load := testLoad()
-	load.Requests = 5000
-	first := c.Run(load)
-	load.Start = c.Nodes()[0].Now()
-	second := c.Run(load)
-	if first.Requests != 5000 || second.Requests != 5000 {
-		t.Fatalf("run reports cover %d/%d requests, want 5000 each", first.Requests, second.Requests)
-	}
-	var accumulated int
-	for id := 0; id < cfg.Shards; id++ {
-		accumulated += c.Shard(id).Recorder().Count()
-	}
-	if accumulated != 10000 {
-		t.Fatalf("persistent shard recorders hold %d samples, want 10000", accumulated)
-	}
-	var nodeAcc int
-	for _, n := range c.Nodes() {
-		nodeAcc += n.rec.Count()
-	}
-	if nodeAcc != 10000 {
-		t.Fatalf("persistent node recorders hold %d samples, want 10000", nodeAcc)
+// TestShardRecorderHoldsLastRun pins the Recorder contract: after two runs
+// on one cluster, each shard's Recorder is the second run's shard digest —
+// not a history of both — on either engine.
+func TestShardRecorderHoldsLastRun(t *testing.T) {
+	for _, sequential := range []bool{true, false} {
+		cfg := testClusterConfig(AllocGlibc)
+		cfg.Sequential = sequential
+		c := New(cfg)
+		load := testLoad()
+		load.Requests = 5000
+		c.Run(load)
+		load.Start = c.Nodes()[0].Now()
+		second := c.Run(load)
+		for id := 0; id < cfg.Shards; id++ {
+			if got := c.Shard(id).Recorder().Summarize(); got != second.PerShard[id] {
+				t.Errorf("sequential=%v shard %d: Recorder summary\n%v\nwant the second run's\n%v",
+					sequential, id, got, second.PerShard[id])
+			}
+		}
+		c.Close()
 	}
 }
 

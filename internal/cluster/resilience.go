@@ -471,15 +471,9 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 		err = true
 		meta.flags |= attErr
 	}
-	if sr.topo != nil && inst > 0 && p.req.Op == workload.OpWrite && !err {
-		// Same manifest rule as the plain path: a write diverted past a
-		// down primary replays at its restore. Errored attempts never
-		// reach the service, so they leave no manifest entry; conditional
-		// writes never get here (discarded above when inst > 0).
-		if w := sr.topo.window(c.chains[shard][0], p.at); w != nil && w.manifest != nil {
-			w.manifest.add(int32(shard), p.req.Key, p.req.ValueBytes)
-		}
-	}
+	// Conditional writes never get here when diverted (discarded above
+	// when inst > 0).
+	c.divertWrite(sr.topo, shard, inst, p.req, err)
 	// Queue the successor. An error is generation-time knowledge, so the
 	// retry fires under the same condition this attempt did; a timeout is
 	// serve-time knowledge, so the retry is speculative — conditional on

@@ -112,11 +112,6 @@ func (r *ShardRouter) NodeForShard(shard int) int {
 	return r.assign[shard]
 }
 
-// NodeForKey composes the two steps.
-func (r *ShardRouter) NodeForKey(key int64) int {
-	return r.NodeForShard(r.ShardForKey(key))
-}
-
 // Assignments returns a copy of the shard→node table (diagnostics, tests).
 func (r *ShardRouter) Assignments() []int {
 	out := make([]int, len(r.assign))

@@ -595,13 +595,6 @@ func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
 				sr.routeDropped[c.chains[shard][0]]++
 				continue
 			}
-			if inst > 0 && req.Op == workload.OpWrite {
-				// A write diverted past a down primary lands in the
-				// primary's migration manifest, replayed at its restore.
-				if w := sr.topo.window(c.chains[shard][0], req.At); w != nil && w.manifest != nil {
-					w.manifest.add(int32(shard), req.Key, req.ValueBytes)
-				}
-			}
 		}
 		var meta resAttempt
 		if sr.res != nil {
@@ -612,6 +605,7 @@ func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
 				meta = resAttempt{flags: attErr | attLast}
 			}
 		}
+		c.divertWrite(sr.topo, shard, inst, req.Request, meta.is(attErr))
 		emit(req.Request, int32(shard), int32(inst), sr.pcIndex(req), meta)
 	}
 	return d.Bounds()
@@ -647,12 +641,6 @@ const (
 	// scenarioChunkDepth is the per-node channel depth: how far generation
 	// may run ahead of a node before it blocks on that node's backpressure.
 	scenarioChunkDepth = 4
-	// admitWindow is the batched-admission look-ahead: a node serves its
-	// chunk in windows of this many requests, first prefetching every
-	// window key's service-table cache lines (read-only, so the simulated
-	// results are untouched), then serving the window — amortizing probe
-	// misses across the batch.
-	admitWindow = 8
 )
 
 // scenarioChunk is one pipeline buffer: a fixed-size block of routed
@@ -706,7 +694,10 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 		go func(p *nodePipe) {
 			defer wg.Done()
 			for ck := range p.ch {
-				c.serveChunk(sr, ck)
+				for j := 0; j < ck.n; j++ {
+					rr := &ck.reqs[j]
+					c.serveScenario(sr, int(rr.shard), rr.inst, rr.pc, rr.req, rr.meta)
+				}
 				ck.n = 0
 				p.free <- ck
 			}
@@ -746,25 +737,6 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 	}
 	wg.Wait()
 	return c.finishScenario(sr, scn, bounds)
-}
-
-// serveChunk serves one chunk in admission windows: prefetch the window's
-// service-table cache lines, then serve the window.
-func (c *Cluster) serveChunk(sr *scenarioRun, ck *scenarioChunk) {
-	for base := 0; base < ck.n; base += admitWindow {
-		end := base + admitWindow
-		if end > ck.n {
-			end = ck.n
-		}
-		for j := base; j < end; j++ {
-			rr := &ck.reqs[j]
-			c.shards[rr.shard].instances[rr.inst].svc.PrefetchKey(rr.req.Key)
-		}
-		for j := base; j < end; j++ {
-			rr := &ck.reqs[j]
-			c.serveScenario(sr, int(rr.shard), rr.inst, rr.pc, rr.req, rr.meta)
-		}
-	}
 }
 
 // runFlatPartitioned is the single-core engine for a flat single-phase load

@@ -310,6 +310,39 @@ func TestTopologyKillWithoutReplicasDrops(t *testing.T) {
 	}
 }
 
+// TestTopologyErroredDivertedWritesDoNotMigrate lays a rate-1 fault window
+// over the outage: every request diverted past the down primary fails
+// fast, so no replica stores a write and the restore has nothing to
+// re-fill. Without class policies the plain generation path draws the
+// verdicts; with a retry policy the resilient expander does. Both engines.
+func TestTopologyErroredDivertedWritesDoNotMigrate(t *testing.T) {
+	cfg := drillConfig(ServiceRedis, AllocGlibc)
+	kill := primaryHeavyNode(cfg)
+	for _, policy := range []bool{false, true} {
+		scn := drillScenario(kill, workload.KillDrain)
+		scn.Events = append(scn.Events, workload.Event{At: drillKillAt, Node: -1,
+			Kind: workload.EventFaultWindow, ErrorRate: 1, Duration: drillRestoreAt - drillKillAt})
+		if policy {
+			for pi := range scn.Phases {
+				for ci := range scn.Phases[pi].Classes {
+					scn.Phases[pi].Classes[ci].Resilience = &workload.Resilience{Retries: 1, Backoff: simtime.Millisecond}
+				}
+			}
+		}
+		for _, sequential := range []bool{true, false} {
+			cfg.Sequential = sequential
+			rep := runScenario(t, cfg, scn)
+			if rep.Errors == 0 {
+				t.Fatalf("policy=%v sequential=%v: the fault window errored nothing", policy, sequential)
+			}
+			if rep.Failovers != 0 || rep.MigratedBytes != 0 {
+				t.Errorf("policy=%v sequential=%v: %d failovers and %d bytes migrated, want 0 — every diverted write errored",
+					policy, sequential, rep.Failovers, rep.MigratedBytes)
+			}
+		}
+	}
+}
+
 // TestTopologyDropPolicySeversBacklog overloads a two-node fleet so the
 // kill instant finds a deep queue, then compares policies: drop must
 // discard backlogged requests that drain serves, and both runs must still

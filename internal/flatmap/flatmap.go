@@ -59,10 +59,6 @@ type Map[V any] struct {
 	growAt int
 
 	n int
-
-	// sink absorbs Prefetch loads so they cannot be optimized away. Written
-	// only by the goroutine owning the Map; never read.
-	sink uint64
 }
 
 // New creates a Map with capacity for about hint entries.
@@ -128,9 +124,9 @@ func groupMasks(w, fp uint64) (match, empty uint64) {
 }
 
 // A nil *Map mirrors a nil Go map: reads (Get, Contains, Len, Range,
-// AppendKeys, SortedKeys, Prefetch) see an empty table, Delete and Clear are
-// no-ops, and Put/Swap panic — so torn-down owners (service Close sets
-// tables to nil) keep the familiar loud-write / tolerant-read contract.
+// AppendKeys, SortedKeys) see an empty table, Delete and Clear are no-ops,
+// and Put/Swap panic — so torn-down owners (service Close sets tables to
+// nil) keep the familiar loud-write / tolerant-read contract.
 
 // Len returns the number of entries.
 func (m *Map[V]) Len() int {
@@ -207,19 +203,6 @@ func (m *Map[V]) Contains(k int64) bool {
 		}
 		i = (i + groupWidth) & m.mask
 	}
-}
-
-// Prefetch warms the cache lines a subsequent Get/Put/Swap of k will touch
-// (the control word and the home key slot). Read-only: it never changes
-// table state, so interleaving Prefetch calls with any operation sequence is
-// behavior-neutral — the batched-admission path issues a Prefetch per
-// request in a small look-ahead window before serving the window.
-func (m *Map[V]) Prefetch(k int64) {
-	if m == nil {
-		return
-	}
-	i := hash(k) & m.mask
-	m.sink += uint64(m.ctrl[i]) + uint64(m.keys[i])
 }
 
 // Put stores v under k, replacing any existing entry.

@@ -32,7 +32,6 @@ func checkMapMatchesReference(t *testing.T) {
 			switch rng.IntN(11) {
 			case 0, 1, 2, 3: // insert/overwrite
 				k, v := keyOf(), int64(rng.Uint64())
-				m.Prefetch(k) // behavior-neutral by contract
 				m.Put(k, v)
 				ref[k] = v
 			case 10: // swap

@@ -31,7 +31,6 @@ func FuzzMapBackends(f *testing.F) {
 			v := int64(pos)
 			switch op & 0x63 {
 			case 0x00, 0x20:
-				flat.Prefetch(k)
 				flat.Put(k, v)
 				oracle[k] = v
 			case 0x01, 0x21:

@@ -147,6 +147,3 @@ func (d *Disk) QueueDelay(at simtime.Time) simtime.Duration {
 	}
 	return d.busyUntil.Sub(at)
 }
-
-// BusyUntil returns the instant the device goes idle.
-func (d *Disk) BusyUntil() simtime.Time { return d.busyUntil }

@@ -312,10 +312,6 @@ func (k *Kernel) Watermarks() (min, low, high int64) {
 // SetOOMHandler installs the out-of-memory policy hook.
 func (k *Kernel) SetOOMHandler(h OOMHandler) { k.oom = h }
 
-// UnderPressure reports whether free memory is below the low watermark —
-// the regime in which allocations take the slow path.
-func (k *Kernel) UnderPressure() bool { return k.freePages < k.lowWM }
-
 // AmbientFactor returns the uniform foreground slowdown caused by active
 // reclaim at instant now: zero when kswapd is idle, the swap factor while
 // reclaim is swap-bound (it swapped within the last 50 ms), the milder file

@@ -102,9 +102,6 @@ type Process struct {
 // Heap returns the process's brk-managed heap region.
 func (p *Process) Heap() *Region { return p.heap }
 
-// VMA returns the anonymous region with the given ID, or nil.
-func (p *Process) VMA(id RegionID) *Region { return p.vmas[id] }
-
 // VMACount returns the number of live mmapped regions.
 func (p *Process) VMACount() int { return len(p.vmas) }
 
@@ -113,33 +110,6 @@ func (p *Process) RSSPages() int64 {
 	n := p.heap.mapped
 	for _, r := range p.vmas {
 		n += r.mapped
-	}
-	return n
-}
-
-// SwappedPages returns swapped-out pages across heap and VMAs.
-func (p *Process) SwappedPages() int64 {
-	n := p.heap.swapped
-	for _, r := range p.vmas {
-		n += r.swapped
-	}
-	return n
-}
-
-// LockedPages returns mlocked pages across heap and VMAs.
-func (p *Process) LockedPages() int64 {
-	n := p.heap.locked
-	for _, r := range p.vmas {
-		n += r.locked
-	}
-	return n
-}
-
-// VirtualPages returns the total virtual size across heap and VMAs.
-func (p *Process) VirtualPages() int64 {
-	n := p.heap.pages
-	for _, r := range p.vmas {
-		n += r.pages
 	}
 	return n
 }

@@ -30,9 +30,6 @@ type Config struct {
 	Period simtime.Duration
 }
 
-// DefaultConfig samples once per virtual second.
-func DefaultConfig() Config { return Config{Period: simtime.Second} }
-
 // Validate reports whether the configuration is well-formed.
 func (c Config) Validate() error {
 	if c.Period <= 0 {

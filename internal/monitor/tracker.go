@@ -60,6 +60,3 @@ func (t *Tracker) Roll(at simtime.Time, boundary func(at simtime.Time, breached 
 
 // Window returns the tracker's sampling-window width.
 func (t *Tracker) Window() simtime.Duration { return t.window }
-
-// Samples returns the number of latencies observed in the open window.
-func (t *Tracker) Samples() int64 { return t.hist.Count() }

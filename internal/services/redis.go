@@ -100,9 +100,6 @@ func (r *Redis) readBlock(b *alloc.Block) simtime.Duration {
 	return cost
 }
 
-// PrefetchKey implements Service.
-func (r *Redis) PrefetchKey(key int64) { r.table.Prefetch(key) }
-
 // Delete implements Service.
 func (r *Redis) Delete(key int64) simtime.Duration {
 	now := r.k.Scheduler().Now()

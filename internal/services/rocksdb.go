@@ -257,14 +257,6 @@ func (r *Rocksdb) readBlock(b *alloc.Block) simtime.Duration {
 	return cost
 }
 
-// PrefetchKey implements Service: warms the home cache lines of every tier
-// a request for key may probe (memtable, block cache, record index).
-func (r *Rocksdb) PrefetchKey(key int64) {
-	r.memtable.Prefetch(key)
-	r.cache.Prefetch(key)
-	r.records.Prefetch(key)
-}
-
 // ImportRecords implements Service: a migration batch lands as one
 // external-SST handoff, RocksDB's bulk-ingest side door. The whole batch is
 // written and fsynced as a single SST (sized to the unpacked oplog, dups

@@ -102,12 +102,6 @@ type Service interface {
 	// surface for conservation tests; it reads no clocks and costs no
 	// virtual time.
 	ExportRecords(buf []ImportEntry) []ImportEntry
-	// PrefetchKey warms the index cache lines a near-future request for key
-	// will probe. It is read-only and costs no virtual time, so drivers may
-	// interleave it freely with requests — the cluster engine calls it over
-	// a small admission batch before serving the batch, amortizing probe
-	// misses across the window without changing any simulated result.
-	PrefetchKey(key int64)
 	// Close releases service resources (not the allocator).
 	Close()
 }

@@ -69,9 +69,9 @@ func (r *Recorder) Record(d time.Duration) {
 
 // Merge folds o's samples into r without re-recording them one by one: raw
 // recorders append o's sample slice, streaming recorders add bucket counts
-// in O(buckets). Cluster runs use it to fold run-local digests into the
-// persistent per-shard recorders and to build node/cluster rollups. Both
-// recorders must be in the same mode; o is left unchanged.
+// in O(buckets). Cluster runs use it to fold run-local digests into shard,
+// node and cluster rollups. Both recorders must be in the same mode; o is
+// left unchanged.
 func (r *Recorder) Merge(o *Recorder) {
 	if o == nil {
 		return
