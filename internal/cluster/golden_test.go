@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/workload"
 )
 
@@ -35,10 +36,13 @@ type reportGolden struct {
 	path string
 	cfg  Config
 	run  func(c *Cluster) (any, error)
+	// text pins the report's Render() table instead of its JSON.
+	text bool
 }
 
 // render runs the golden on a fresh cluster and serializes the report the
-// way the CLIs' -json output does, minus the wall time.
+// way the CLIs print it: as -json output, minus the wall time, or as the
+// text table.
 func (g reportGolden) render(t *testing.T, cfg Config) []byte {
 	t.Helper()
 	c := New(cfg)
@@ -46,6 +50,9 @@ func (g reportGolden) render(t *testing.T, cfg Config) []byte {
 	rep, err := g.run(c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g.text {
+		return []byte(rep.(interface{ Render() string }).Render())
 	}
 	var buf bytes.Buffer
 	if err := WriteReportJSON(&buf, rep); err != nil {
@@ -112,6 +119,15 @@ type flatGolden struct {
 	load workload.LoadConfig
 }
 
+// golden is the flat load's report golden.
+func (f flatGolden) golden() reportGolden {
+	return reportGolden{
+		path: filepath.Join("testdata", "flat", f.name+".json"),
+		cfg:  f.cfg,
+		run:  func(c *Cluster) (any, error) { return c.Run(f.load), nil },
+	}
+}
+
 // flatGoldens are the Cluster.Run goldens: two allocators × two seeds on a
 // small fleet, plus the churn config (RocksDB flushes, batch exits,
 // reclaim) on streaming histograms.
@@ -139,22 +155,110 @@ func flatGoldens() []flatGolden {
 	return append(out, flatGolden{"churn-histogram", cfg, load})
 }
 
+// chaosGoldenScenario is drillScenario's kill/restore timeline plus a
+// degrade/heal on another node, a fleet-wide fault window inside the
+// outage (it errors writes diverted to replicas) and a shard fault window
+// across the restore, all on classes without resilience policies.
+func chaosGoldenScenario(kill int) workload.Scenario {
+	scn := drillScenario(kill, workload.KillDrain)
+	scn.Name = "chaos"
+	other, shard := (kill+1)%4, 3
+	scn.Events = append(scn.Events,
+		workload.Event{At: 40 * simtime.Millisecond, Node: other, Kind: workload.EventDegradeNode, Factor: 4},
+		workload.Event{At: 140 * simtime.Millisecond, Node: other, Kind: workload.EventHealNode},
+		workload.Event{At: 100 * simtime.Millisecond, Node: -1, Kind: workload.EventFaultWindow,
+			ErrorRate: 0.1, Duration: 30 * simtime.Millisecond},
+		workload.Event{At: 150 * simtime.Millisecond, Node: -1, Kind: workload.EventFaultWindow,
+			ErrorRate: 0.2, Duration: 60 * simtime.Millisecond, Shard: &shard},
+	)
+	return scn
+}
+
+// boundedGoldenScenario is three request-bounded single-class phases, the
+// middle one with a retry-and-hedge policy, under a drop-policy kill and
+// restore and a node fault window. A degrade ahead of the kill builds the
+// backlog the kill drops.
+func boundedGoldenScenario(kill int) workload.Scenario {
+	point := workload.TrafficClass{Name: "point", Rate: 60_000, Keys: 6_000, ZipfS: 1.1, ReadFraction: 0.6, ValueBytes: 4 << 10}
+	retrying := point
+	retrying.Name = "retrying"
+	retrying.Resilience = &workload.Resilience{
+		Timeout: 60 * simtime.Microsecond,
+		Retries: 2,
+		Backoff: 30 * simtime.Microsecond,
+		Jitter:  0.2,
+		Hedge:   40 * simtime.Microsecond,
+	}
+	ingest := workload.TrafficClass{Name: "ingest", Rate: 10_000, Keys: 1_500, ReadFraction: 0.1, ValueBytes: 32 << 10}
+	return workload.Scenario{
+		Name: "bounded",
+		Seed: 17,
+		Phases: []workload.Phase{
+			{Name: "warm", Requests: 4_000, Classes: []workload.TrafficClass{point}},
+			{Name: "chaos", Requests: 8_000, Classes: []workload.TrafficClass{retrying}},
+			{Name: "tail", Requests: 3_000, Classes: []workload.TrafficClass{ingest}},
+		},
+		Events: []workload.Event{
+			{At: 90 * simtime.Millisecond, Node: kill, Kind: workload.EventKillNode, Policy: workload.KillDrop},
+			{At: 170 * simtime.Millisecond, Node: kill, Kind: workload.EventRestoreNode},
+			{At: 80 * simtime.Millisecond, Node: kill, Kind: workload.EventDegradeNode, Factor: 8},
+			{At: 170 * simtime.Millisecond, Node: kill, Kind: workload.EventHealNode},
+			{At: 110 * simtime.Millisecond, Node: (kill + 1) % 4, Kind: workload.EventFaultWindow,
+				ErrorRate: 0.3, Duration: 40 * simtime.Millisecond},
+		},
+	}
+}
+
+// presetGolden is the committed preset's report golden, at
+// presetGoldenScale on the preset's pinned allocator or glibc.
+func presetGolden(t *testing.T, name string) reportGolden {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseScenarioSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.Overrides.Apply(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn := spec.Scenario.Scaled(presetGoldenScale)
+	cfg.Seed = scn.Seed
+	return reportGolden{
+		path: filepath.Join("testdata", "presets", name+".json"),
+		cfg:  cfg,
+		run:  func(c *Cluster) (any, error) { return c.RunScenario(scn) },
+	}
+}
+
 // TestReportGoldens pins the exact report bytes of every committed preset
-// (at presetGoldenScale, on the preset's pinned allocator or glibc) and of
-// a set of flat Cluster.Run loads. Each golden must come out identical from
-// the sequential oracle and from the parallel engine at one core and at the
+// (at presetGoldenScale, on the preset's pinned allocator or glibc), of
+// hand-built scenarios covering shapes no preset has, and of a set of flat
+// Cluster.Run loads. Each golden must come out identical from the
+// sequential oracle and from the parallel engine at one core and at the
 // runtime default, so an engine change that moves a single byte of any
 // report fails here. Regenerate with HERMES_UPDATE_GOLDEN=1 go test -run
 // TestReportGoldens ./internal/cluster/ after an intentional engine or
 // cost-model change.
 func TestReportGoldens(t *testing.T) {
 	for _, f := range flatGoldens() {
-		g := reportGolden{
-			path: filepath.Join("testdata", "flat", f.name+".json"),
-			cfg:  f.cfg,
-			run:  func(c *Cluster) (any, error) { return c.Run(f.load), nil },
-		}
-		t.Run("flat/"+f.name, g.check)
+		t.Run("flat/"+f.name, f.golden().check)
+	}
+
+	drill := drillConfig(ServiceRedis, AllocGlibc)
+	kill := primaryHeavyNode(drill)
+	chaosSLO := chaosGoldenScenario(kill)
+	chaosSLO.Name = "chaos-slo"
+	chaosSLO.SLO = &workload.SLO{P99: 80 * simtime.Microsecond, Window: 5 * simtime.Millisecond}
+	for _, scn := range []workload.Scenario{chaosGoldenScenario(kill), chaosSLO, boundedGoldenScenario(kill)} {
+		t.Run("scenario/"+scn.Name, reportGolden{
+			path: filepath.Join("testdata", "scenarios", scn.Name+".json"),
+			cfg:  drill,
+			run:  func(c *Cluster) (any, error) { return c.RunScenario(scn) },
+		}.check)
 	}
 
 	files, err := filepath.Glob("../../examples/scenarios/*.json")
@@ -166,26 +270,26 @@ func TestReportGoldens(t *testing.T) {
 	}
 	for _, file := range files {
 		name := strings.TrimSuffix(filepath.Base(file), ".json")
-		t.Run("preset/"+name, func(t *testing.T) {
-			data, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, err := ParseScenarioSpec(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg, err := spec.Overrides.Apply(DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			scn := spec.Scenario.Scaled(presetGoldenScale)
-			cfg.Seed = scn.Seed
-			reportGolden{
-				path: filepath.Join("testdata", "presets", name+".json"),
-				cfg:  cfg,
-				run:  func(c *Cluster) (any, error) { return c.RunScenario(scn) },
-			}.check(t)
-		})
+		t.Run("preset/"+name, func(t *testing.T) { presetGolden(t, name).check(t) })
+	}
+}
+
+// TestRenderGoldens pins the Render() tables byte for byte, under every
+// dispatch like TestReportGoldens: one flat report, and the two presets
+// whose tables carry the topology, resilience, SLO and controller lines.
+// Regenerate with HERMES_UPDATE_GOLDEN=1, as for the report goldens.
+func TestRenderGoldens(t *testing.T) {
+	asText := func(g reportGolden, name string) reportGolden {
+		g.path = filepath.Join("testdata", "text", name+".txt")
+		g.text = true
+		return g
+	}
+	for _, f := range flatGoldens() {
+		if f.name == "glibc-seed1" {
+			t.Run("flat/"+f.name, asText(f.golden(), "flat-"+f.name).check)
+		}
+	}
+	for _, name := range []string{"brownout", "failover-drill"} {
+		t.Run("preset/"+name, func(t *testing.T) { asText(presetGolden(t, name), "preset-"+name).check(t) })
 	}
 }
