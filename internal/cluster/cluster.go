@@ -638,43 +638,55 @@ func (r Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster run: allocator=%s service=%s requests=%d (reads=%d writes=%d)\n",
 		r.Allocator, r.Service, r.Requests, r.Reads, r.Writes)
-	fmt.Fprintf(&b, "%s\n", r.Cluster)
-	fmt.Fprintf(&b, "%s\n", r.Wait)
+	r.renderTotals(&b)
+	r.renderPerNode(&b)
+	b.WriteString("per shard:\n")
+	for _, s := range r.PerShard {
+		fmt.Fprintf(&b, "  %s\n", s)
+	}
+	return b.String()
+}
+
+// renderTotals prints the cluster-wide block every report table opens
+// with: the latency and queue-wait digests, then the topology, resilience,
+// SLO and controller lines of the runs that have them.
+func (r Report) renderTotals(b *strings.Builder) {
+	fmt.Fprintf(b, "%s\n%s\n", r.Cluster, r.Wait)
 	if r.Failovers > 0 || r.Dropped > 0 || r.MigratedBytes > 0 {
-		fmt.Fprintf(&b, "topology: failovers=%d dropped=%d migrated=%s\n",
+		fmt.Fprintf(b, "topology: failovers=%d dropped=%d migrated=%s\n",
 			r.Failovers, r.Dropped, fmtBytes(r.MigratedBytes))
 	}
 	if r.resilienceActive() {
-		fmt.Fprintf(&b, "resilience: retries=%d timeouts=%d errors=%d hedges=%d shed=%d failed=%d\n",
+		fmt.Fprintf(b, "resilience: retries=%d timeouts=%d errors=%d hedges=%d shed=%d failed=%d\n",
 			r.Retries, r.Timeouts, r.Errors, r.Hedges, r.Shed, r.Failed)
 		if r.SLOTarget > 0 {
-			fmt.Fprintf(&b, "slo: p99<=%v compliance=%.2f%%\n", r.SLOTarget, r.SLOCompliance*100)
+			fmt.Fprintf(b, "slo: p99<=%v compliance=%.2f%%\n", r.SLOTarget, r.SLOCompliance*100)
 		}
 	}
 	if len(r.Actions) > 0 {
 		b.WriteString(renderActions("controller", r.Actions))
 	}
+}
+
+// renderPerNode prints the per-node table, each node followed by its
+// topology, resilience and controller lines where it has them.
+func (r Report) renderPerNode(b *strings.Builder) {
 	b.WriteString("per node:\n")
 	for _, n := range r.PerNode {
-		fmt.Fprintf(&b, "  %s  shards=%-3d reclaims=%-6d swapouts=%-8d %s\n",
+		fmt.Fprintf(b, "  %s  shards=%-3d reclaims=%-6d swapouts=%-8d %s\n",
 			n.Name, n.Shards, n.Kernel.DirectReclaims, n.Kernel.PagesSwapOut, n.Latency)
 		if n.Downtime > 0 || n.Failovers > 0 || n.Dropped > 0 || n.MigratedBytes > 0 {
-			fmt.Fprintf(&b, "    topology: downtime=%v failovers=%d dropped=%d migrated=%s\n",
+			fmt.Fprintf(b, "    topology: downtime=%v failovers=%d dropped=%d migrated=%s\n",
 				n.Downtime, n.Failovers, n.Dropped, fmtBytes(n.MigratedBytes))
 		}
 		if n.Retries > 0 || n.Timeouts > 0 || n.Errors > 0 || n.Hedges > 0 || n.Shed > 0 || n.Failed > 0 || r.SLOTarget > 0 {
-			fmt.Fprintf(&b, "    resilience: retries=%d timeouts=%d errors=%d hedges=%d shed=%d failed=%d compliance=%.2f%%\n",
+			fmt.Fprintf(b, "    resilience: retries=%d timeouts=%d errors=%d hedges=%d shed=%d failed=%d compliance=%.2f%%\n",
 				n.Retries, n.Timeouts, n.Errors, n.Hedges, n.Shed, n.Failed, n.SLOCompliance*100)
 		}
 		if len(n.Actions) > 0 {
 			b.WriteString("    " + renderActions("controller", n.Actions))
 		}
 	}
-	b.WriteString("per shard:\n")
-	for _, s := range r.PerShard {
-		fmt.Fprintf(&b, "  %s\n", s)
-	}
-	return b.String()
 }
 
 // renderActions renders one action-log summary line: total plus per-kind

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/hermes-sim/hermes/internal/services"
 	"github.com/hermes-sim/hermes/internal/simtime"
@@ -68,18 +67,11 @@ func (c *Cluster) newTopology(scn workload.Scenario) (*topology, error) {
 	if !hasTopo {
 		return nil, nil
 	}
-	// Walk the events in firing order — (At, declaration), the order the
-	// node cursors use — so the kill/restore pairing matches the run.
-	order := make([]int, len(scn.Events))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return scn.Events[order[a]].At < scn.Events[order[b]].At
-	})
+	// Walk the events in the order the node cursors fire them, so the
+	// kill/restore pairing matches the run.
 	t := &topology{windows: make([][]downWindow, len(c.nodes))}
 	open := make([]bool, len(c.nodes))
-	for _, i := range order {
+	for _, i := range firingOrder(scn.Events) {
 		e := scn.Events[i]
 		at := scn.Start.Add(e.At)
 		switch e.Kind {
@@ -116,16 +108,7 @@ func (c *Cluster) newTopology(scn workload.Scenario) (*topology, error) {
 // upAt reports whether the node is in rotation at the instant (windows are
 // half-open: down at the kill, back at the restore).
 func (t *topology) upAt(node int, at simtime.Time) bool {
-	for i := range t.windows[node] {
-		w := &t.windows[node][i]
-		if at.Before(w.kill) {
-			return true // sorted windows: at precedes every later outage
-		}
-		if at.Before(w.restore) {
-			return false
-		}
-	}
-	return true
+	return t.window(node, at) == nil
 }
 
 // window returns the outage containing the instant, or nil when the node
@@ -134,7 +117,7 @@ func (t *topology) window(node int, at simtime.Time) *downWindow {
 	for i := range t.windows[node] {
 		w := &t.windows[node][i]
 		if at.Before(w.kill) {
-			return nil
+			return nil // sorted windows: at precedes every later outage
 		}
 		if at.Before(w.restore) {
 			return w
@@ -220,8 +203,8 @@ func (c *Cluster) routeInstance(t *topology, shard int, at simtime.Time) (int, b
 
 // divertWrite adds a write that routing diverted past its down primary
 // (inst > 0) to that outage's manifest, replayed at the restore. An errored
-// write never reaches the replica's service, so it leaves no entry; both
-// generation paths call this after drawing the fault verdict.
+// write never reaches the replica's service, so it leaves no entry; the
+// attempt expander calls this after drawing the fault verdict.
 func (c *Cluster) divertWrite(t *topology, shard, inst int, req workload.Request, errored bool) {
 	if t == nil || inst == 0 || errored || req.Op != workload.OpWrite {
 		return

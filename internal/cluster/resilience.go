@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/workload"
@@ -80,7 +79,8 @@ type faultWindow struct {
 }
 
 // resClass is one traffic class's lowered resilience policy; active is
-// false for classes without one.
+// false for classes without one, and the zero value is that policy-less
+// class.
 type resClass struct {
 	active  bool
 	timeout simtime.Duration
@@ -92,23 +92,30 @@ type resClass struct {
 
 // resilience is a scenario's compiled resilience state: static fault
 // schedules, per-class policies, the SLO block, and the generation-time
-// streams. nil when the scenario has none of it — the marker for every
-// fast path.
+// streams. nil when the scenario has none of it; classFor and faultRate
+// answer for a nil layer too (no policies, no faults), so the attempt
+// expander runs every non-flat scenario either way.
 type resilience struct {
 	degrade    [][]factorWindow // per node, sorted, non-overlapping
 	nodeFault  [][]faultWindow  // per node
 	shardFault [][]faultWindow  // per shard
 	class      []resClass       // indexed classOff[phase]+class
 	classOff   []int
-	anyPolicy  bool // at least one class has an active policy
 	slo        *workload.SLO
 	pol        *workload.Policies // control-plane policies (controlplane.go)
 	faults     *randgen.Stream    // error verdicts (generation time)
 	jit        *randgen.Stream    // backoff jitter (generation time)
 }
 
+// noPolicy is every class's policy when the scenario has no resilience
+// layer. Callers only read it.
+var noPolicy resClass
+
 // classFor returns the lowered policy for a (phase, class) cell.
 func (r *resilience) classFor(phase, class int32) *resClass {
+	if r == nil {
+		return &noPolicy
+	}
 	return &r.class[r.classOff[phase]+int(class)]
 }
 
@@ -116,6 +123,9 @@ func (r *resilience) classFor(phase, class int32) *resClass {
 // the instant. Overlapping windows compound probabilistically: the request
 // survives only if it survives every covering window.
 func (r *resilience) faultRate(node, shard int, at simtime.Time) float64 {
+	if r == nil {
+		return 0
+	}
 	keep := 1.0
 	for i := range r.nodeFault[node] {
 		w := &r.nodeFault[node][i]
@@ -144,22 +154,21 @@ func (c *Cluster) newResilience(scn workload.Scenario) (*resilience, error) {
 			hasEvents = true
 		}
 	}
-	anyPolicy := false
+	hasPolicy := false
 	for _, p := range scn.Phases {
 		for _, tc := range p.Classes {
 			if tc.Resilience != nil {
-				anyPolicy = true
+				hasPolicy = true
 			}
 		}
 	}
-	if !hasEvents && !anyPolicy && scn.SLO == nil {
+	if !hasEvents && !hasPolicy && scn.SLO == nil {
 		return nil, nil
 	}
 	r := &resilience{
 		degrade:    make([][]factorWindow, len(c.nodes)),
 		nodeFault:  make([][]faultWindow, len(c.nodes)),
 		shardFault: make([][]faultWindow, len(c.shards)),
-		anyPolicy:  anyPolicy,
 		slo:        scn.SLO,
 		faults:     randgen.Split(scn.Seed, streamFaultDraws),
 		jit:        randgen.Split(scn.Seed, streamRetryJit),
@@ -182,17 +191,10 @@ func (c *Cluster) newResilience(scn workload.Scenario) (*resilience, error) {
 			r.class = append(r.class, rc)
 		}
 	}
-	// Walk events in firing order — (At, declaration) — so degrade/heal
-	// pairing matches what the node cursors will observe.
-	order := make([]int, len(scn.Events))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return scn.Events[order[a]].At < scn.Events[order[b]].At
-	})
+	// Walk events in firing order so degrade/heal pairing matches what the
+	// node cursors will observe.
 	open := make([]int, len(c.nodes)) // open degrade window index + 1, or 0
-	for _, i := range order {
+	for _, i := range firingOrder(scn.Events) {
 		e := scn.Events[i]
 		at := scn.Start.Add(e.At)
 		targets := func() []int {
@@ -250,12 +252,12 @@ func (c *Cluster) newResilience(scn workload.Scenario) (*resilience, error) {
 // this file's original step rule, stream id and draw sequence.
 
 // resAttempt is the resilience metadata riding with one emitted attempt.
-// The zero value marks a request outside the resilience layer.
+// The zero value marks a request outside the resilience layer: an attempt
+// of a policy-less class carries no flags unless it errored.
 type resAttempt struct {
-	id        int64 // chain id (0 = not a resilient-class request)
-	cls       int32 // flattened class index (resilience.class)
-	attemptNo uint8
-	flags     uint8
+	id    int64 // chain id (0 = not a resilient-class request)
+	cls   int32 // flattened class index (resilience.class), set with id
+	flags uint8
 }
 
 const (
@@ -336,7 +338,10 @@ func (h *retryHeap) pop() pendingAttempt {
 
 // resExpander turns the scenario's client-request stream into the attempt
 // stream: primaries, error/timeout retries, and hedges, merged by arrival
-// instant. It runs at generation time on one goroutine in both engines.
+// instant, each routed and given its fault verdict. It runs at generation
+// time on one goroutine in both engines, for every non-flat scenario; with
+// no class policies the retry heap stays empty and it emits the client
+// stream one-for-one.
 type resExpander struct {
 	c      *Cluster
 	sr     *scenarioRun
@@ -411,13 +416,7 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 		if sr.topo != nil && !sr.topo.upAt(c.chains[shard][p.hinst], p.at) {
 			return
 		}
-		meta := resAttempt{
-			id:        p.id,
-			cls:       int32(res.classOff[p.phase]) + p.class,
-			attemptNo: uint8(p.attemptNo),
-			flags:     attHedge,
-		}
-		x.emit(p.req, int32(shard), p.hinst, sr.pcIndexAt(p.phase, p.class), meta)
+		x.emit(p.req, int32(shard), p.hinst, sr.pcIndexAt(p.phase, p.class), resAttempt{id: p.id, flags: attHedge})
 		return
 	}
 	inst := 0
@@ -455,10 +454,9 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 			return
 		}
 	}
-	meta := resAttempt{
-		id:        p.id,
-		cls:       int32(res.classOff[p.phase]) + p.class,
-		attemptNo: uint8(p.attemptNo),
+	meta := resAttempt{id: p.id}
+	if rc.active {
+		meta.cls = int32(res.classOff[p.phase]) + p.class
 	}
 	if p.attemptNo > 0 {
 		meta.flags |= attRetry
@@ -498,7 +496,7 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 			}
 		}
 	}
-	if !spawned {
+	if !spawned && (rc.active || err) {
 		meta.flags |= attLast
 	}
 	if p.cond && spawned && !meta.is(attTracked) {
@@ -536,10 +534,10 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 	x.emit(p.req, int32(shard), int32(inst), sr.pcIndexAt(p.phase, p.class), meta)
 }
 
-// generateResilient is generateScenario's expander path: it merges the
-// scenario driver's client requests with the pending retry/hedge heap in
-// arrival order, emitting the full attempt stream.
-func (c *Cluster) generateResilient(scn workload.Scenario, sr *scenarioRun,
+// generateAttempts is the generator of every scenario that is not a flat
+// load: it merges the scenario driver's client requests with the pending
+// retry/hedge heap in arrival order, emitting the full attempt stream.
+func (c *Cluster) generateAttempts(scn workload.Scenario, sr *scenarioRun,
 	emit func(req workload.Request, shard, inst, pc int32, meta resAttempt)) []workload.PhaseBound {
 	x := &resExpander{c: c, sr: sr, emit: emit}
 	d := workload.NewScenarioDriver(scn)

@@ -69,21 +69,7 @@ func (r ScenarioReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario %q: allocator=%s service=%s requests=%d (reads=%d writes=%d)\n",
 		r.Name, r.Allocator, r.Service, r.Requests, r.Reads, r.Writes)
-	fmt.Fprintf(&b, "%s\n%s\n", r.Cluster, r.Wait)
-	if r.Failovers > 0 || r.Dropped > 0 || r.MigratedBytes > 0 {
-		fmt.Fprintf(&b, "topology: failovers=%d dropped=%d migrated=%s\n",
-			r.Failovers, r.Dropped, fmtBytes(r.MigratedBytes))
-	}
-	if r.resilienceActive() {
-		fmt.Fprintf(&b, "resilience: retries=%d timeouts=%d errors=%d hedges=%d shed=%d failed=%d\n",
-			r.Retries, r.Timeouts, r.Errors, r.Hedges, r.Shed, r.Failed)
-		if r.SLOTarget > 0 {
-			fmt.Fprintf(&b, "slo: p99<=%v compliance=%.2f%%\n", r.SLOTarget, r.SLOCompliance*100)
-		}
-	}
-	if len(r.Actions) > 0 {
-		b.WriteString(renderActions("controller", r.Actions))
-	}
+	r.renderTotals(&b)
 	for _, p := range r.Phases {
 		fmt.Fprintf(&b, "phase %-12s [%v → %v] requests=%d\n  %s\n",
 			p.Name, p.Start, p.End, p.Requests, p.Latency)
@@ -92,30 +78,30 @@ func (r ScenarioReport) Render() string {
 				tc.Name, tc.Reads, tc.Writes, tc.Latency)
 		}
 	}
-	b.WriteString("per node:\n")
-	for _, n := range r.PerNode {
-		fmt.Fprintf(&b, "  %s  shards=%-3d reclaims=%-6d swapouts=%-8d %s\n",
-			n.Name, n.Shards, n.Kernel.DirectReclaims, n.Kernel.PagesSwapOut, n.Latency)
-		if n.Downtime > 0 || n.Failovers > 0 || n.Dropped > 0 || n.MigratedBytes > 0 {
-			fmt.Fprintf(&b, "    topology: downtime=%v failovers=%d dropped=%d migrated=%s\n",
-				n.Downtime, n.Failovers, n.Dropped, fmtBytes(n.MigratedBytes))
-		}
-		if n.Retries > 0 || n.Timeouts > 0 || n.Errors > 0 || n.Hedges > 0 || n.Shed > 0 || n.Failed > 0 || r.SLOTarget > 0 {
-			fmt.Fprintf(&b, "    resilience: retries=%d timeouts=%d errors=%d hedges=%d shed=%d failed=%d compliance=%.2f%%\n",
-				n.Retries, n.Timeouts, n.Errors, n.Hedges, n.Shed, n.Failed, n.SLOCompliance*100)
-		}
-		if len(n.Actions) > 0 {
-			b.WriteString("    " + renderActions("controller", n.Actions))
-		}
-	}
+	r.renderPerNode(&b)
 	return b.String()
 }
 
 // nodeEvent is one timeline entry resolved onto a node: the absolute
-// firing instant plus the declaration index for same-instant ordering.
+// firing instant plus the event itself.
 type nodeEvent struct {
 	at simtime.Time
 	ev workload.Event
+}
+
+// firingOrder returns the indices of the events in the order they fire: by
+// instant, same-instant events in declaration order. Every node's cursor
+// fires its events in this order, and the topology and resilience
+// compilers pair kills with restores and degrades with heals in it.
+func firingOrder(events []workload.Event) []int {
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return events[order[a]].At < events[order[b]].At
+	})
+	return order
 }
 
 // pcState accumulates one (phase, class) cell of the segmentation: a
@@ -269,7 +255,10 @@ func (c *Cluster) newScenarioRun(scn workload.Scenario, topo *topology, res *res
 			}
 		}
 	}
-	for _, e := range scn.Events {
+	// Queues filled in firing order are already in each node's firing
+	// order.
+	for _, i := range firingOrder(scn.Events) {
+		e := scn.Events[i]
 		at := scn.Start.Add(e.At)
 		if e.Node >= 0 {
 			sr.events[e.Node] = append(sr.events[e.Node], nodeEvent{at: at, ev: e})
@@ -278,12 +267,6 @@ func (c *Cluster) newScenarioRun(scn workload.Scenario, topo *topology, res *res
 		for ni := range c.nodes {
 			sr.events[ni] = append(sr.events[ni], nodeEvent{at: at, ev: e})
 		}
-	}
-	for ni := range sr.events {
-		// Stable: same-instant events keep declaration order.
-		sort.SliceStable(sr.events[ni], func(i, j int) bool {
-			return sr.events[ni][i].at.Before(sr.events[ni][j].at)
-		})
 	}
 	return sr
 }
@@ -388,17 +371,9 @@ func (c *Cluster) applyEvent(sr *scenarioRun, n *Node, ne nodeEvent) {
 	}
 }
 
-// pcIndex flattens a request's (phase, class) onto its segmentation cell,
-// or -1 for single-cell scenarios (whose base digests cover everything).
-func (sr *scenarioRun) pcIndex(req workload.ScenarioRequest) int32 {
-	if sr.pc == nil {
-		return -1
-	}
-	return int32(sr.pcOff[req.Phase] + req.Class)
-}
-
-// pcIndexAt is pcIndex on bare (phase, class) indices, for the resilience
-// expander's retries and hedges.
+// pcIndexAt flattens an attempt's (phase, class) onto its segmentation
+// cell, or -1 for single-cell scenarios (whose base digests cover
+// everything).
 func (sr *scenarioRun) pcIndexAt(phase, class int32) int32 {
 	if sr.pc == nil {
 		return -1
@@ -407,8 +382,8 @@ func (sr *scenarioRun) pcIndexAt(phase, class int32) int32 {
 }
 
 // setFate records a chain attempt's outcome in the serving node's fate
-// table, but only when a conditional successor will read it (attTracked);
-// everything else would be dead state.
+// table, but only when a conditional successor will read it (attTracked,
+// never set on a hedge); everything else would be dead state.
 func (sr *scenarioRun) setFate(node int, meta resAttempt, failed bool) {
 	if meta.is(attTracked) {
 		sr.fates[node][meta.id] = failed
@@ -432,11 +407,9 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 		// shed and errored attempts advance windows exactly like served ones.
 		sr.met.Tick(n.Index, req.At)
 	}
-	// A request is inside the resilience layer when it belongs to a chain
-	// (id != 0) or carries a verdict flag (a fault-window error on a
-	// policy-less class).
-	resilient := meta.id != 0 || meta.flags != 0
-	if meta.id != 0 && meta.is(attCond) {
+	// Every flag below is set only inside the resilience layer, so the
+	// counters it indexes exist whenever a check passes.
+	if meta.is(attCond) {
 		// Speculative timeout retry: fires only if the chain's previous
 		// attempt failed here. Either way the fate entry is consumed.
 		failed := sr.fates[n.Index][meta.id]
@@ -447,13 +420,11 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 			return // the previous attempt succeeded: never sent
 		}
 	}
-	if resilient {
-		if meta.is(attRetry) {
-			sr.retries[n.Index]++
-		}
-		if meta.is(attHedge) {
-			sr.hedges[n.Index]++
-		}
+	if meta.is(attRetry) {
+		sr.retries[n.Index]++
+	}
+	if meta.is(attHedge) {
+		sr.hedges[n.Index]++
 	}
 	if sr.ctl != nil {
 		// SLO admission control, before the request can queue. A shed
@@ -461,13 +432,11 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 		// retries onto a node that just told them to back off.
 		if ctl := sr.ctl[n.Index]; !ctl.admit(req.At) {
 			sr.shed[n.Index]++
-			if resilient && !meta.is(attHedge) {
-				sr.setFate(n.Index, meta, false)
-			}
+			sr.setFate(n.Index, meta, false)
 			return
 		}
 	}
-	if resilient && meta.is(attErr) {
+	if meta.is(attErr) {
 		// Fault-window error: fail fast, no service work, no clock cost.
 		sr.errors[n.Index]++
 		sr.setFate(n.Index, meta, true)
@@ -483,9 +452,7 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 			// connection — a timeout-speculative retry (if one exists)
 			// will fire.
 			sr.qdropped[n.Index]++
-			if resilient && !meta.is(attHedge) {
-				sr.setFate(n.Index, meta, true)
-			}
+			sr.setFate(n.Index, meta, true)
 			return
 		}
 		if inst > 0 && !meta.is(attHedge) {
@@ -501,7 +468,8 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 	if sr.met != nil {
 		sr.met.Observe(n.Index, lat)
 	}
-	if resilient && !meta.is(attHedge) {
+	if meta.id != 0 && !meta.is(attHedge) {
+		// A chain attempt is judged against its class's client deadline.
 		timedOut := false
 		if rc := &sr.res.class[meta.cls]; rc.timeout > 0 && lat > rc.timeout {
 			timedOut = true
@@ -552,14 +520,16 @@ func (c *Cluster) RunScenario(scn workload.Scenario) (ScenarioReport, error) {
 
 // generateScenario pulls the scenario's request stream, routing each
 // request — shard by key, serving instance by the outage schedule — and
-// handing it to emit; it returns the generated phase bounds. Flat lifted
-// scenarios (every Cluster.Run) are detected and driven by the plain
-// LoadDriver — the identical stream without the merge layer, so the
-// adapter costs the seed path nothing; a topology schedule disables the
-// bypass because routing then depends on the arrival instant. Both engines
-// share this: only the emit sink differs (serve now vs. hand to the node's
-// pipeline). Requests whose whole replica chain is down never reach emit —
-// they are counted against the primary and dropped here, at routing.
+// handing it to emit; it returns the generated phase bounds. It has two
+// paths. A flat load with no topology or resilience schedule (every
+// Cluster.Run) is the FlatLoad bypass: the plain LoadDriver emits the
+// identical stream without the merge layer, and every request goes to its
+// shard's primary with empty metadata. Every other scenario goes through
+// the attempt expander (generateAttempts), which also draws fault verdicts
+// and adds retries and hedges. Both engines share this: only the emit sink
+// differs (serve now vs. hand to the node's pipeline). Requests whose whole
+// replica chain is down never reach emit — they are counted against the
+// primary and dropped here, at routing.
 func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
 	emit func(req workload.Request, shard, inst, pc int32, meta resAttempt)) []workload.PhaseBound {
 	if flat, ok := scn.FlatLoad(); ok && sr.topo == nil && sr.res == nil {
@@ -576,39 +546,7 @@ func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
 		}
 		return []workload.PhaseBound{bound}
 	}
-	if sr.res != nil && sr.res.anyPolicy {
-		// Classes with resilience policies expand into attempt chains
-		// (retries, hedges) merged with the base stream.
-		return c.generateResilient(scn, sr, emit)
-	}
-	d := workload.NewScenarioDriver(scn)
-	for {
-		req, ok := d.Next()
-		if !ok {
-			break
-		}
-		shard := c.router.ShardForKey(req.Key)
-		inst := 0
-		if sr.topo != nil {
-			var up bool
-			if inst, up = c.routeInstance(sr.topo, shard, req.At); !up {
-				sr.routeDropped[c.chains[shard][0]]++
-				continue
-			}
-		}
-		var meta resAttempt
-		if sr.res != nil {
-			// No policies, but fault windows (or an SLO) may still be
-			// active: draw the error verdict for this request.
-			node := c.shards[shard].instances[inst].node.Index
-			if rate := sr.res.faultRate(node, shard, req.At); rate > 0 && sr.res.faults.Float64() < rate {
-				meta = resAttempt{flags: attErr | attLast}
-			}
-		}
-		c.divertWrite(sr.topo, shard, inst, req.Request, meta.is(attErr))
-		emit(req.Request, int32(shard), int32(inst), sr.pcIndex(req), meta)
-	}
-	return d.Bounds()
+	return c.generateAttempts(scn, sr, emit)
 }
 
 // runScenarioSequential executes the scenario on one goroutine in global

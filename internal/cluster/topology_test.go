@@ -313,8 +313,8 @@ func TestTopologyKillWithoutReplicasDrops(t *testing.T) {
 // TestTopologyErroredDivertedWritesDoNotMigrate lays a rate-1 fault window
 // over the outage: every request diverted past the down primary fails
 // fast, so no replica stores a write and the restore has nothing to
-// re-fill. Without class policies the plain generation path draws the
-// verdicts; with a retry policy the resilient expander does. Both engines.
+// re-fill. Without class policies an errored attempt ends its request;
+// with a retry policy its retries error too. Both engines.
 func TestTopologyErroredDivertedWritesDoNotMigrate(t *testing.T) {
 	cfg := drillConfig(ServiceRedis, AllocGlibc)
 	kill := primaryHeavyNode(cfg)

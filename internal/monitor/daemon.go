@@ -72,9 +72,6 @@ func NewDaemon(k *kernel.Kernel, registry *Registry, cfg Config) *Daemon {
 	return d
 }
 
-// Registry returns the daemon's shared registry.
-func (d *Daemon) Registry() *Registry { return d.registry }
-
 // Stats returns a snapshot of the daemon's counters.
 func (d *Daemon) Stats() Stats { return d.stats }
 

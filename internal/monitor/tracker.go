@@ -57,6 +57,3 @@ func (t *Tracker) Roll(at simtime.Time, boundary func(at simtime.Time, breached 
 		t.widx++
 	}
 }
-
-// Window returns the tracker's sampling-window width.
-func (t *Tracker) Window() simtime.Duration { return t.window }

@@ -38,9 +38,6 @@ func NewRedis(k *kernel.Kernel, a alloc.Allocator, costs CostConfig) *Redis {
 // Name implements Service.
 func (r *Redis) Name() string { return "Redis" }
 
-// Allocator implements Service.
-func (r *Redis) Allocator() alloc.Allocator { return r.a }
-
 // StoredBytes implements Service.
 func (r *Redis) StoredBytes() int64 { return r.stored }
 

@@ -115,9 +115,6 @@ func (r *Rocksdb) fileName(kind string, seq int) string {
 // Name implements Service.
 func (r *Rocksdb) Name() string { return "Rocksdb" }
 
-// Allocator implements Service.
-func (r *Rocksdb) Allocator() alloc.Allocator { return r.a }
-
 // StoredBytes implements Service.
 func (r *Rocksdb) StoredBytes() int64 { return r.stored }
 

@@ -8,7 +8,6 @@
 package services
 
 import (
-	"github.com/hermes-sim/hermes/internal/alloc"
 	"github.com/hermes-sim/hermes/internal/simtime"
 )
 
@@ -88,8 +87,6 @@ type Service interface {
 	// never enter the kernel, so drivers exempt them from the ambient
 	// reclaim slowdown (workload.JitterRequest).
 	LastPreMapped() bool
-	// Allocator exposes the backing allocator.
-	Allocator() alloc.Allocator
 	// ImportRecords bulk-loads an oplog batch — the shard-migration ingest
 	// path a restored node replays. The work is real virtual-time work on
 	// the service's node (Redis re-inserts every record through its

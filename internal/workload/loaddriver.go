@@ -161,12 +161,6 @@ func newLoadDriverStream(cfg LoadConfig, id uint64) *LoadDriver {
 	return d
 }
 
-// Config returns the driver's configuration.
-func (d *LoadDriver) Config() LoadConfig { return d.cfg }
-
-// Emitted returns how many requests have been generated so far.
-func (d *LoadDriver) Emitted() int64 { return d.emitted }
-
 // Next returns the next request of the stream, or ok=false once Requests
 // have been emitted. Draw order (key, op, gap) is fixed so the stream is a
 // pure function of the seed.

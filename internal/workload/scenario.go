@@ -158,7 +158,8 @@ type Resilience struct {
 	// the work — the client just stops waiting). 0 = no deadline.
 	Timeout simtime.Duration
 	// Retries bounds how many times the client retries a failed attempt
-	// (error, timeout, or dropped connection). 0 = no retries.
+	// (error, timeout, or dropped connection). 0 = no retries. Validate
+	// rejects a policy whose whole chain could span more than 2^62 ns.
 	Retries int
 	// Backoff is the base retry delay: retry k (1-based) waits
 	// Backoff·2^(k-1)·(1+jitter) after the failure is observed. Required
@@ -195,7 +196,26 @@ func (r Resilience) Validate() error {
 	if r.Hedge < 0 {
 		return fmt.Errorf("resilience Hedge must be >= 0 (got %v)", r.Hedge)
 	}
+	if span := r.chainSpan(); span > maxChainSpan {
+		return fmt.Errorf("resilience Retries=%d with Backoff=%v lets one retry chain span %.3g ns (Retries*Timeout + Backoff*(2^Retries-1)*(1+Jitter)), over the 2^62 ns limit: lower Retries or Backoff",
+			r.Retries, r.Backoff, span)
+	}
 	return nil
+}
+
+// maxChainSpan bounds how far past its first attempt a retry chain may
+// reach: 2^62 ns, about 146 years. An attempt below that instant plus its
+// chain then stays below simtime.MaxTime.
+const maxChainSpan = float64(1 << 62)
+
+// chainSpan returns the longest a retry chain can run past its first
+// attempt: Retries·Timeout + Backoff·(2^Retries − 1)·(1 + Jitter). It is
+// computed in float64, which saturates where int64 would wrap; each
+// product is rounded on its own, so no platform fuses it into the add.
+func (r Resilience) chainSpan() float64 {
+	timeouts := float64(float64(r.Retries) * float64(r.Timeout))
+	backoffs := float64(float64(r.Backoff) * (math.Exp2(float64(r.Retries)) - 1) * (1 + r.Jitter))
+	return timeouts + backoffs
 }
 
 // loadConfig lowers the class onto the LoadDriver's config for the given
@@ -919,7 +939,8 @@ type classState struct {
 // executor) routes and serves what it emits. Classes merge by arrival time
 // (ties by class index), phases run back to back, and every class draws
 // from its own split stream — so the whole stream is a pure function of the
-// scenario.
+// scenario. Every phase goes through the one merge: a single-class phase is
+// a merge of one, and emits that class driver's stream unchanged.
 type ScenarioDriver struct {
 	scn      Scenario
 	phaseIdx int
@@ -932,11 +953,6 @@ type ScenarioDriver struct {
 	phaseN   int64        // emitted within current phase
 	bounds   []PhaseBound
 	done     bool
-	// fast marks a single-class, request-bounded phase: no merge, no
-	// peeked pending request — Next pulls straight from the class driver.
-	// This is the whole phase Cluster.Run's adapter generates, so the
-	// flat path pays (almost) nothing for the scenario layer.
-	fast bool
 }
 
 // NewScenarioDriver validates the scenario and positions the stream at the
@@ -949,9 +965,6 @@ func NewScenarioDriver(scn Scenario) *ScenarioDriver {
 	d.nextPhase(scn.Start)
 	return d
 }
-
-// Scenario returns the driver's scenario.
-func (d *ScenarioDriver) Scenario() Scenario { return d.scn }
 
 // Emitted returns how many requests have been generated so far.
 func (d *ScenarioDriver) Emitted() int64 { return d.emitted }
@@ -988,7 +1001,6 @@ func (d *ScenarioDriver) nextPhase(start simtime.Time) {
 	// Each class may have to cover the whole phase budget alone (the
 	// merge, not the class, enforces the total).
 	perClass := d.budget
-	d.fast = len(p.Classes) == 1 && p.Duration <= 0
 	d.classes = d.classes[:0]
 	for ci, tc := range p.Classes {
 		ld := newLoadDriverStream(tc.loadConfig(d.scn.Seed, start, perClass), classStreamID(d.phaseIdx, ci))
@@ -999,9 +1011,7 @@ func (d *ScenarioDriver) nextPhase(start simtime.Time) {
 			}
 		}
 		cs := &classState{idx: ci, d: ld}
-		if !d.fast {
-			cs.pending, cs.ok = ld.Next()
-		}
+		cs.pending, cs.ok = ld.Next()
 		d.classes = append(d.classes, cs)
 	}
 }
@@ -1012,23 +1022,6 @@ func (d *ScenarioDriver) Next() (ScenarioRequest, bool) {
 	for {
 		if d.done {
 			return ScenarioRequest{}, false
-		}
-		if d.fast {
-			// Single class, request-bounded: the class driver's own
-			// budget (== the phase budget) ends the phase.
-			req, ok := d.classes[0].d.Next()
-			if !ok {
-				d.nextPhase(d.lastAt)
-				continue
-			}
-			d.lastAt = req.At
-			d.emitted++
-			d.phaseN++
-			out := ScenarioRequest{Request: req, Phase: d.phaseIdx, Class: 0}
-			if d.budget--; d.budget == 0 {
-				d.nextPhase(d.lastAt)
-			}
-			return out, true
 		}
 		// Pick the earliest pending arrival; ties break by class index.
 		var pick *classState

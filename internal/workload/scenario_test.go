@@ -19,8 +19,9 @@ func scenarioTestLoad() LoadConfig {
 // TestScenarioSinglePhaseMatchesLoadDriver pins the adapter property
 // Cluster.Run rests on: a single-phase, single-class scenario lifted from a
 // LoadConfig emits the bit-identical request sequence to a plain
-// LoadDriver. The subtest keeps the name of the generator it runs on, the
-// fast one, from when there were two.
+// LoadDriver. The merge is the driver's only path, so this is the guard
+// that a merge of one class reproduces the LoadDriver stream. The subtest
+// keeps the name "fast" from when a single-class phase skipped the merge.
 func TestScenarioSinglePhaseMatchesLoadDriver(t *testing.T) {
 	t.Run("fast", checkScenarioSinglePhaseMatchesLoadDriver)
 }
@@ -339,6 +340,43 @@ func TestScenarioValidateMessages(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("base scenario rejected: %v", err)
+	}
+}
+
+// TestResilienceRetrySpanBound: a policy whose retry chain could reach past
+// 2^62 ns, Retries·Timeout + Backoff·(2^Retries − 1)·(1 + Jitter), is
+// rejected by name, however far past the limit it reaches; one just inside
+// is accepted. Unbounded, a 70-retry chain at 1ms backoff wrapped arrival
+// instants negative and the run reported negative latencies.
+func TestResilienceRetrySpanBound(t *testing.T) {
+	const ms = simtime.Millisecond
+	for _, r := range []Resilience{
+		{Retries: 70, Backoff: ms},
+		{Retries: 43, Backoff: ms},              // 8.8e18 ns
+		{Retries: 42, Backoff: ms, Jitter: 0.5}, // 4.4e18 ns before jitter
+		{Retries: 1, Timeout: math.MaxInt64, Backoff: 1},
+		{Retries: 62, Backoff: 2},
+		{Retries: 1100, Backoff: 1}, // 2^Retries is +Inf
+		{Retries: math.MaxInt32, Backoff: ms, Timeout: ms},
+	} {
+		err := r.Validate()
+		if err == nil {
+			t.Errorf("%+v: accepted a retry chain past 2^62 ns", r)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "Retries=") || !strings.Contains(msg, "Backoff=") {
+			t.Errorf("%+v: error %q does not name Retries and Backoff", r, msg)
+		}
+	}
+	for _, r := range []Resilience{
+		{Retries: 3, Backoff: 30 * simtime.Microsecond, Jitter: 0.2, Timeout: 60 * simtime.Microsecond},
+		{Retries: 42, Backoff: ms, Jitter: 0.04}, // 4.57e18 ns
+		{Retries: 62, Backoff: 1},                // 2^62 − 1 ns
+		{Timeout: math.MaxInt64},                 // no retries, no chain
+	} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("%+v: rejected a chain inside 2^62 ns: %v", r, err)
+		}
 	}
 }
 
