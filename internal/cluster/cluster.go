@@ -721,64 +721,18 @@ func fmtBytes(n int64) string {
 	}
 }
 
-// runState holds one run's run-local digests: one latency recorder per
-// shard INSTANCE, and one queue-wait recorder plus read/write counters per
-// node. Everything a request records lands in state owned by its serving
-// node — with failover the instances of one shard live on different nodes,
-// so shard-level digests are only assembled at finish — which lets
-// concurrent node goroutines fill the slices without sharing.
-type runState struct {
-	shard [][]*stats.Recorder // indexed by shard ID, chain position
-	wait  []*stats.Recorder   // indexed by node index
-	node  []nodeCounters      // indexed by node index
-	// degrade is the per-node service-slowdown schedule compiled from
-	// degrade-node/heal-node events; nil on every run without them. The
-	// factor is looked up at service start on the node's own clock, so the
-	// verdict is node-local.
-	degrade [][]factorWindow
-}
-
-// nodeCounters tallies one node's operations. Padded to a cache line:
-// every node goroutine increments its own entry on every request, and
-// unpadded 16-byte counters packed into adjacent lines turn those
-// independent increments into cross-core line bouncing.
-type nodeCounters struct {
-	reads, writes int64
-	_             [48]byte
-}
-
-func (c *Cluster) newRunState() *runState {
-	st := &runState{
-		shard: make([][]*stats.Recorder, len(c.shards)),
-		wait:  make([]*stats.Recorder, len(c.nodes)),
-		node:  make([]nodeCounters, len(c.nodes)),
-	}
-	for i, sh := range c.shards {
-		st.shard[i] = make([]*stats.Recorder, len(sh.instances))
-		for inst := range sh.instances {
-			st.shard[i][inst] = c.newRecorder(sh.rec.Name())
-		}
-	}
-	for i, n := range c.nodes {
-		st.wait[i] = c.newRecorder(n.Name + "/wait")
-	}
-	return st
-}
-
-// serveOn executes one request on a replica-chain instance of its shard: 0
-// is the primary (every request without topology events), >0 a failover
-// target whose node stands in for a down primary. It runs background
-// machinery up to the arrival, measures queueing delay, performs the
-// operation, and occupies the node for the raw service time. Each node is
-// modelled as a single-threaded server (the event-loop discipline of Redis
-// itself): a request that arrives while its node is still busy queues, and
-// its recorded latency is queueing delay plus jittered service time. The
-// request's full cost lands on the serving node's clock and digests; the
-// returned latency is what was recorded, so callers can segment it into
-// additional digests.
-func (c *Cluster) serveOn(st *runState, shardID, inst int, req workload.Request) simtime.Duration {
-	sh := c.shards[shardID]
-	in := sh.instances[inst]
+// serve executes one request on in, the replica-chain instance of its shard
+// that routing picked (the primary, or a failover target standing in for a
+// down primary), and records it in the serving node's record nr and the
+// instance's digest rec. It runs background machinery up to the arrival,
+// measures queueing delay, performs the operation, and occupies the node
+// for the raw service time.
+// Each node is modelled as a single-threaded server (the event-loop
+// discipline of Redis itself): a request that arrives while its node is
+// still busy queues, and its recorded latency is queueing delay plus
+// jittered service time. The returned latency is what was recorded, so
+// callers can segment it into additional digests.
+func (c *Cluster) serve(nr *nodeRun, rec *stats.Recorder, in *shardInstance, req workload.Request) simtime.Duration {
 	n := in.node
 	if req.At.After(n.sched.Now()) {
 		// Idle until the arrival: run background machinery up to it.
@@ -791,16 +745,16 @@ func (c *Cluster) serveOn(st *runState, shardID, inst int, req workload.Request)
 	case workload.OpWrite:
 		raw = in.svc.Insert(req.Key, req.ValueBytes)
 		preMapped = in.svc.LastPreMapped()
-		st.node[n.Index].writes++
+		nr.writes++
 	case workload.OpRead:
 		raw = in.svc.Read(req.Key)
-		st.node[n.Index].reads++
+		nr.reads++
 	}
-	if st.degrade != nil {
+	if nr.degrade != nil {
 		// A degraded node does the same work slower: the whole raw service
 		// cost stretches by the window's factor before jitter and clock
 		// occupancy, as if the CPU were clocked down.
-		if f := degradeFactorAt(st.degrade[n.Index], n.sched.Now()); f != 1 {
+		if f := degradeFactorAt(nr.degrade, n.sched.Now()); f != 1 {
 			raw = simtime.Duration(float64(raw) * f)
 		}
 	}
@@ -808,87 +762,9 @@ func (c *Cluster) serveOn(st *runState, shardID, inst int, req workload.Request)
 	// observes queueing plus the jittered service time.
 	lat := wait + workload.JitterRequest(n.kernel, raw, preMapped)
 	n.sched.Advance(raw)
-	st.shard[shardID][inst].Record(lat)
-	st.wait[n.Index].Record(wait)
+	rec.Record(lat)
+	nr.wait.Record(wait)
 	return lat
-}
-
-// finish settles the fleet on a common horizon, merges the run-local
-// digests into shard, node and cluster digests, and assembles the Report.
-// Merge order is canonical — shards in ID order within a node, nodes in
-// index order across the cluster — so the Report is a pure function of the
-// per-node execution results, independent of which engine produced them.
-func (c *Cluster) finish(st *runState) Report {
-	// Settle the fleet on a common horizon so background work (management
-	// threads, kswapd, daemons) finishes the same window on every node.
-	var horizon simtime.Time
-	for _, n := range c.nodes {
-		if n.sched.Now().After(horizon) {
-			horizon = n.sched.Now()
-		}
-	}
-	for _, n := range c.nodes {
-		n.sched.RunUntil(horizon)
-	}
-
-	// Assemble each shard's digest from its instances in chain order.
-	for id, sh := range c.shards {
-		rec := c.newRecorder(sh.rec.Name())
-		for inst := range sh.instances {
-			rec.Merge(st.shard[id][inst])
-		}
-		sh.rec = rec
-	}
-
-	report := Report{Allocator: c.cfg.Allocator, Service: c.cfg.Service(), Stats: c.cfg.StatsBackend()}
-	clusterRec := c.newRecorder("cluster")
-	waitRec := c.newRecorder("queue-wait")
-	var total int
-	for _, recs := range st.shard {
-		for _, rec := range recs {
-			total += rec.Count()
-		}
-	}
-	clusterRec.Reserve(total)
-	for i, n := range c.nodes {
-		// A node's digest covers what it actually served: the shard
-		// instances it hosts, primaries and failover replicas alike, in
-		// (shard, chain-position) order.
-		runNode := c.newRecorder(n.Name)
-		nodeTotal := 0
-		for _, sh := range c.shards {
-			for inst := range sh.instances {
-				if sh.instances[inst].node == n {
-					nodeTotal += st.shard[sh.ID][inst].Count()
-				}
-			}
-		}
-		runNode.Reserve(nodeTotal)
-		for _, sh := range c.shards {
-			for inst := range sh.instances {
-				if sh.instances[inst].node == n {
-					runNode.Merge(st.shard[sh.ID][inst])
-				}
-			}
-		}
-		clusterRec.Merge(runNode)
-		waitRec.Merge(st.wait[i])
-		report.Reads += st.node[i].reads
-		report.Writes += st.node[i].writes
-		report.PerNode = append(report.PerNode, NodeReport{
-			Name:    n.Name,
-			Shards:  len(n.shards),
-			Latency: runNode.Summarize(),
-			Kernel:  n.kernel.Stats(),
-		})
-	}
-	report.Requests = report.Reads + report.Writes
-	report.Cluster = clusterRec.Summarize()
-	report.Wait = waitRec.Summarize()
-	for _, sh := range c.shards {
-		report.PerShard = append(report.PerShard, sh.rec.Summarize())
-	}
-	return report
 }
 
 // Run drives the fleet with the open-loop stream described by load and

@@ -99,8 +99,7 @@ type resilience struct {
 	degrade    [][]factorWindow // per node, sorted, non-overlapping
 	nodeFault  [][]faultWindow  // per node
 	shardFault [][]faultWindow  // per shard
-	class      []resClass       // indexed classOff[phase]+class
-	classOff   []int
+	class      []resClass       // indexed by (phase, class) cell (scenarioRun.cellOff)
 	slo        *workload.SLO
 	pol        *workload.Policies // control-plane policies (controlplane.go)
 	faults     *randgen.Stream    // error verdicts (generation time)
@@ -112,11 +111,11 @@ type resilience struct {
 var noPolicy resClass
 
 // classFor returns the lowered policy for a (phase, class) cell.
-func (r *resilience) classFor(phase, class int32) *resClass {
+func (r *resilience) classFor(cell int32) *resClass {
 	if r == nil {
 		return &noPolicy
 	}
-	return &r.class[r.classOff[phase]+int(class)]
+	return &r.class[cell]
 }
 
 // faultRate returns the error probability for a request to (node, shard) at
@@ -174,8 +173,8 @@ func (c *Cluster) newResilience(scn workload.Scenario) (*resilience, error) {
 		jit:        randgen.Split(scn.Seed, streamRetryJit),
 	}
 	r.pol = scn.Policies
+	// Phase-major, class-minor: the order of scenarioRun.cellOff's cells.
 	for _, p := range scn.Phases {
-		r.classOff = append(r.classOff, len(r.class))
 		for _, tc := range p.Classes {
 			rc := resClass{}
 			if pol := tc.Resilience; pol != nil {
@@ -256,7 +255,6 @@ func (c *Cluster) newResilience(scn workload.Scenario) (*resilience, error) {
 // of a policy-less class carries no flags unless it errored.
 type resAttempt struct {
 	id    int64 // chain id (0 = not a resilient-class request)
-	cls   int32 // flattened class index (resilience.class), set with id
 	flags uint8
 }
 
@@ -277,8 +275,7 @@ type pendingAttempt struct {
 	at        simtime.Time
 	seq       int64 // tie-break: insertion order
 	req       workload.Request
-	phase     int32
-	class     int32
+	cell      int32 // (phase, class) cell
 	id        int64
 	attemptNo int
 	cond      bool
@@ -348,7 +345,7 @@ type resExpander struct {
 	heap   retryHeap
 	seq    int64
 	nextID int64
-	emit   func(req workload.Request, shard, inst, pc int32, meta resAttempt)
+	emit   func(req workload.Request, shard, inst, cell int32, meta resAttempt)
 }
 
 // backoffDelay computes retry k's delay (k = the retry's attempt number,
@@ -392,7 +389,7 @@ func (x *resExpander) spawnRetry(p pendingAttempt, rc *resClass, delay simtime.D
 	req.At = at
 	x.heap.push(pendingAttempt{
 		at: at, seq: x.seq, req: req,
-		phase: p.phase, class: p.class, id: p.id,
+		cell: p.cell, id: p.id,
 		attemptNo: p.attemptNo + 1, cond: cond, anchor: anchor,
 	})
 }
@@ -403,7 +400,7 @@ func (x *resExpander) spawnRetry(p pendingAttempt, rc *resClass, delay simtime.D
 func (x *resExpander) emitAttempt(p pendingAttempt) {
 	c, sr := x.c, x.sr
 	res := sr.res
-	rc := res.classFor(p.phase, p.class)
+	rc := res.classFor(p.cell)
 	shard := c.router.ShardForKey(p.req.Key)
 	if p.hedge {
 		// A hedge serves on the replica-chain position pinned at spawn
@@ -416,7 +413,7 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 		if sr.topo != nil && !sr.topo.upAt(c.chains[shard][p.hinst], p.at) {
 			return
 		}
-		x.emit(p.req, int32(shard), p.hinst, sr.pcIndexAt(p.phase, p.class), resAttempt{id: p.id, flags: attHedge})
+		x.emit(p.req, int32(shard), p.hinst, p.cell, resAttempt{id: p.id, flags: attHedge})
 		return
 	}
 	inst := 0
@@ -429,7 +426,7 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 			// speculative (its chain may already have succeeded before
 			// this attempt was dropped), an unconditional one respawns
 			// unconditionally.
-			sr.routeDropped[c.chains[shard][0]]++
+			sr.nodes[c.chains[shard][0]].routeDropped++
 			if rc.active && p.attemptNo < rc.retries {
 				delay := x.backoffDelay(rc, p.attemptNo+1)
 				// A conditional respawn keeps the chain's fate entry
@@ -455,9 +452,6 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 		}
 	}
 	meta := resAttempt{id: p.id}
-	if rc.active {
-		meta.cls = int32(res.classOff[p.phase]) + p.class
-	}
 	if p.attemptNo > 0 {
 		meta.flags |= attRetry
 	}
@@ -525,20 +519,20 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 			hreq.At = th
 			x.heap.push(pendingAttempt{
 				at: th, seq: x.seq, req: hreq,
-				phase: p.phase, class: p.class, id: p.id,
+				cell: p.cell, id: p.id,
 				attemptNo: p.attemptNo, hedge: true, hinst: int32(hi),
 			})
 			break
 		}
 	}
-	x.emit(p.req, int32(shard), int32(inst), sr.pcIndexAt(p.phase, p.class), meta)
+	x.emit(p.req, int32(shard), int32(inst), p.cell, meta)
 }
 
 // generateAttempts is the generator of every scenario that is not a flat
 // load: it merges the scenario driver's client requests with the pending
 // retry/hedge heap in arrival order, emitting the full attempt stream.
 func (c *Cluster) generateAttempts(scn workload.Scenario, sr *scenarioRun,
-	emit func(req workload.Request, shard, inst, pc int32, meta resAttempt)) []workload.PhaseBound {
+	emit func(req workload.Request, shard, inst, cell int32, meta resAttempt)) []workload.PhaseBound {
 	x := &resExpander{c: c, sr: sr, emit: emit}
 	d := workload.NewScenarioDriver(scn)
 	pending, ok := d.Next()
@@ -549,12 +543,11 @@ func (c *Cluster) generateAttempts(scn workload.Scenario, sr *scenarioRun,
 			x.emitAttempt(x.heap.pop())
 			continue
 		}
-		rc := sr.res.classFor(int32(pending.Phase), int32(pending.Class))
 		p := pendingAttempt{
 			at: pending.At, req: pending.Request,
-			phase: int32(pending.Phase), class: int32(pending.Class),
+			cell: int32(sr.cellOff[pending.Phase] + pending.Class),
 		}
-		if rc.active {
+		if sr.res.classFor(p.cell).active {
 			x.nextID++
 			p.id = x.nextID
 		}

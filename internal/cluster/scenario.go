@@ -104,59 +104,92 @@ func firingOrder(events []workload.Event) []int {
 	return order
 }
 
-// pcState accumulates one (phase, class) cell of the segmentation: a
-// recorder and read/write counters per node, so concurrent node goroutines
-// never share state.
-type pcState struct {
-	node   []*stats.Recorder
-	reads  []int64
-	writes []int64
+// scenarioRun is one scenario run's working state: the run-local instance
+// digests, one record per node, the cell index, and the compiled schedules.
+type scenarioRun struct {
+	// shard[id][inst] is the run-local latency digest of shard id's
+	// chain-position inst instance. With failover the instances of one
+	// shard live on different nodes, so each is written only by the node
+	// hosting it (which lists it in its record) and shard digests are only
+	// assembled at finish.
+	shard [][]*stats.Recorder
+	nodes []nodeRun
+	// cellOff[phase]+class is a (phase, class) pair's cell: the one index
+	// that keys both nodeRun.cells and resilience.class.
+	cellOff []int
+	// topo is the compiled outage schedule, nil without kill/restore
+	// events; res is the compiled resilience layer, nil without soft-fault
+	// events, class policies or an SLO; met is the time-series collector,
+	// nil without Config.Metrics. All three are read-only while serving,
+	// apart from met's per-node windows, which only the node's goroutine
+	// rolls.
+	topo *topology
+	res  *resilience
+	met  *metrics.Collector
 }
 
-// scenarioRun is one scenario run's working state: the base runState plus
-// the phase × class digests and each node's pending event queue.
-type scenarioRun struct {
-	st *runState
-	// pc is indexed by pcOff[phase]+class. It is nil for single-cell
-	// scenarios (one phase, one class — every flat Run): the lone cell's
-	// digests equal the base report's, so segmenting would only re-sort
-	// every raw sample a third time. finishScenario reuses the base
-	// digests instead, which is what keeps the adapter's overhead on the
-	// seed path near zero.
-	pc    []*pcState
-	pcOff []int
-	// events[n] is node n's timeline in firing order; cursor[n] is the
-	// next entry to fire.
-	events [][]nodeEvent
-	cursor []int
-	// topo is the compiled outage schedule, nil when the scenario has no
-	// kill/restore events (every counter below stays nil with it). The
-	// counters are node-indexed: failover and routeDropped fill during
-	// generation (one goroutine on both engines), qdropped and migrated
-	// during serving, where a goroutine only ever touches its own node's
-	// slot — so the parallel engine shares nothing.
-	topo         *topology
-	failover     []int64 // requests a node served for a down primary
-	routeDropped []int64 // drops at routing, charged to the primary
-	qdropped     []int64 // backlog drops at a drop-policy kill
-	migrated     []int64 // bytes restores re-filled into a node's shards
-	// res is the compiled resilience layer, nil when the scenario has no
-	// soft-fault events, class policies or SLO. Its counters and state
-	// follow the same ownership rule as the topology counters: a node
-	// goroutine only ever touches its own slot.
-	res      *resilience
-	retries  []int64          // retry attempts that actually fired
-	timeouts []int64          // served attempts whose latency beat the class deadline
-	errors   []int64          // attempts failed fast by a fault window
-	hedges   []int64          // speculative read hedges sent
-	shed     []int64          // attempts rejected by admission control
-	failed   []int64          // chains exhausted without a successful attempt
-	fates    []map[int64]bool // per node: chain id → last attempt failed
-	ctl      []*controller    // per node, nil without a policies block
-	// met is the time-series collector, nil without Config.Metrics. Its
-	// per-node windows roll at arrivals under the same node-local ownership
-	// rule as everything above.
-	met *metrics.Collector
+// nodeRun is one node's record of a run: everything a request served on the
+// node writes. While the run serves, only the node's goroutine touches it,
+// with one exception: routeDropped, which the generator writes and nothing
+// reads before finishScenario. Records sit side by side in one slice, so
+// each ends in a cache line of padding; without it, counters that two node
+// goroutines increment on every request would share a line and bounce
+// between cores.
+type nodeRun struct {
+	// events is the node's timeline in firing order; cursor is the next
+	// entry to fire.
+	events []nodeEvent
+	cursor int
+	// wait is the node's queue-wait digest. hosted lists the digests of the
+	// shard instances the node hosts, in (shard, chain position) order: a
+	// node's latency digest covers what it served, primaries and failover
+	// replicas alike.
+	wait   *stats.Recorder
+	hosted []*stats.Recorder
+	// cells segments the node's latencies by (phase, class) cell. It is nil
+	// for single-cell scenarios (one phase, one class — every flat Run): the
+	// lone cell's digests equal the base report's, so segmenting would only
+	// re-sort every raw sample a third time.
+	cells []cellRun
+	// degrade is the node's service-slowdown schedule compiled from
+	// degrade-node/heal-node events (nil without them); the factor is looked
+	// up at service start on the node's own clock. fates maps a chain id to
+	// whether its last attempt here failed, nil without a resilience layer.
+	// ctl is the node's controller, nil without a policies block.
+	degrade []factorWindow
+	fates   map[int64]bool
+	ctl     *controller
+
+	reads, writes int64
+	failover      int64 // requests served for a down primary
+	qdropped      int64 // backlog drops at a drop-policy kill
+	migrated      int64 // bytes restores re-filled into the node's shards
+	retries       int64 // retry attempts that actually fired
+	timeouts      int64 // served attempts whose latency beat the class deadline
+	errors        int64 // attempts failed fast by a fault window
+	hedges        int64 // speculative read hedges served
+	shed          int64 // attempts rejected by admission control
+	failed        int64 // chains exhausted without a successful attempt
+	// routeDropped counts requests whose whole replica chain was down at
+	// routing, charged to this node as their primary. The generator is its
+	// only writer.
+	routeDropped int64
+	_            [64]byte
+}
+
+// cellRun is one (phase, class) cell of a node's segmentation.
+type cellRun struct {
+	rec           *stats.Recorder
+	reads, writes int64
+}
+
+// setFate records a chain attempt's outcome in the node's fate table, but
+// only when a conditional successor will read it (attTracked, never set on
+// a hedge); everything else would be dead state.
+func (nr *nodeRun) setFate(meta resAttempt, failed bool) {
+	if meta.is(attTracked) {
+		nr.fates[meta.id] = failed
+	}
 }
 
 // validateScenario checks the scenario against this cluster: the scenario
@@ -186,86 +219,74 @@ func (c *Cluster) validateScenario(scn workload.Scenario) error {
 
 func (c *Cluster) newScenarioRun(scn workload.Scenario, topo *topology, res *resilience) *scenarioRun {
 	sr := &scenarioRun{
-		st:     c.newRunState(),
-		events: make([][]nodeEvent, len(c.nodes)),
-		cursor: make([]int, len(c.nodes)),
-		topo:   topo,
-		res:    res,
+		shard: make([][]*stats.Recorder, len(c.shards)),
+		nodes: make([]nodeRun, len(c.nodes)),
+		topo:  topo,
+		res:   res,
 	}
-	if topo != nil {
-		sr.failover = make([]int64, len(c.nodes))
-		sr.routeDropped = make([]int64, len(c.nodes))
-		sr.qdropped = make([]int64, len(c.nodes))
-		sr.migrated = make([]int64, len(c.nodes))
+	cells := 0
+	for _, p := range scn.Phases {
+		sr.cellOff = append(sr.cellOff, cells)
+		cells += len(p.Classes)
 	}
-	if res != nil {
-		sr.retries = make([]int64, len(c.nodes))
-		sr.timeouts = make([]int64, len(c.nodes))
-		sr.errors = make([]int64, len(c.nodes))
-		sr.hedges = make([]int64, len(c.nodes))
-		sr.shed = make([]int64, len(c.nodes))
-		sr.failed = make([]int64, len(c.nodes))
-		sr.fates = make([]map[int64]bool, len(c.nodes))
-		for i := range sr.fates {
-			sr.fates[i] = make(map[int64]bool)
-		}
-		sr.st.degrade = res.degrade
-		if res.pol != nil {
-			sr.ctl = make([]*controller, len(c.nodes))
-			for i := range sr.ctl {
-				sr.ctl[i] = newController(c, scn, i)
+	for i, n := range c.nodes {
+		nr := &sr.nodes[i]
+		nr.wait = c.newRecorder(n.Name + "/wait")
+		if cells > 1 {
+			nr.cells = make([]cellRun, 0, cells)
+			for _, p := range scn.Phases {
+				for _, tc := range p.Classes {
+					nr.cells = append(nr.cells, cellRun{rec: c.newRecorder(p.Name + "/" + tc.Name)})
+				}
 			}
+		}
+		if res != nil {
+			nr.degrade = res.degrade[i]
+			nr.fates = make(map[int64]bool)
+			if res.pol != nil {
+				nr.ctl = newController(c, scn, i)
+			}
+		}
+	}
+	for id, sh := range c.shards {
+		sr.shard[id] = make([]*stats.Recorder, len(sh.instances))
+		for inst, in := range sh.instances {
+			rec := c.newRecorder(sh.rec.Name())
+			sr.shard[id][inst] = rec
+			nr := &sr.nodes[in.node.Index]
+			nr.hosted = append(nr.hosted, rec)
 		}
 	}
 	if c.cfg.Metrics != nil {
-		// The snapshot closure reads only machinery owned by the node whose
-		// window is closing: its kernel's counters and its resilience slots.
+		// The snapshot closure reads only state owned by the node whose
+		// window is closing: its kernel's counters and its record.
 		sr.met = metrics.NewCollector(scn.Start, c.cfg.Metrics.Period, len(c.nodes),
 			func(node int) metrics.Counters {
-				n := c.nodes[node]
+				n, nr := c.nodes[node], &sr.nodes[node]
 				ks := n.kernel.Stats()
-				cnt := metrics.Counters{
+				return metrics.Counters{
 					Reclaims: ks.DirectReclaims,
 					Swapouts: ks.PagesSwapOut,
 					RSSBytes: n.kernel.TotalPages()*n.kernel.PageSize() - n.kernel.FreeBytes(),
+					Shed:     nr.shed,
+					Retries:  nr.retries,
+					Errors:   nr.errors,
+					Timeouts: nr.timeouts,
+					Hedges:   nr.hedges,
 				}
-				if res != nil {
-					cnt.Shed = sr.shed[node]
-					cnt.Retries = sr.retries[node]
-					cnt.Errors = sr.errors[node]
-					cnt.Timeouts = sr.timeouts[node]
-					cnt.Hedges = sr.hedges[node]
-				}
-				return cnt
 			})
-	}
-	if len(scn.Phases) > 1 || len(scn.Phases[0].Classes) > 1 {
-		for _, p := range scn.Phases {
-			sr.pcOff = append(sr.pcOff, len(sr.pc))
-			for _, tc := range p.Classes {
-				pc := &pcState{
-					node:   make([]*stats.Recorder, len(c.nodes)),
-					reads:  make([]int64, len(c.nodes)),
-					writes: make([]int64, len(c.nodes)),
-				}
-				for ni := range c.nodes {
-					pc.node[ni] = c.newRecorder(p.Name + "/" + tc.Name)
-				}
-				sr.pc = append(sr.pc, pc)
-			}
-		}
 	}
 	// Queues filled in firing order are already in each node's firing
 	// order.
 	for _, i := range firingOrder(scn.Events) {
 		e := scn.Events[i]
-		at := scn.Start.Add(e.At)
+		ne := nodeEvent{at: scn.Start.Add(e.At), ev: e}
 		if e.Node >= 0 {
-			sr.events[e.Node] = append(sr.events[e.Node], nodeEvent{at: at, ev: e})
+			sr.nodes[e.Node].events = append(sr.nodes[e.Node].events, ne)
 			continue
 		}
-		for ni := range c.nodes {
-			sr.events[ni] = append(sr.events[ni], nodeEvent{at: at, ev: e})
+		for ni := range sr.nodes {
+			sr.nodes[ni].events = append(sr.nodes[ni].events, ne)
 		}
 	}
 	return sr
@@ -276,13 +297,13 @@ func (c *Cluster) newScenarioRun(scn workload.Scenario, topo *topology, res *res
 // node-local, so each node's history — events interleaved with its request
 // stream — is identical on both engines.
 func (c *Cluster) fireEventsUpTo(sr *scenarioRun, n *Node, upTo simtime.Time) {
-	q := sr.events[n.Index]
-	for sr.cursor[n.Index] < len(q) {
-		ne := q[sr.cursor[n.Index]]
+	nr := &sr.nodes[n.Index]
+	for nr.cursor < len(nr.events) {
+		ne := nr.events[nr.cursor]
 		if ne.at.After(upTo) {
 			return
 		}
-		sr.cursor[n.Index]++
+		nr.cursor++
 		if ne.at.After(n.sched.Now()) {
 			n.sched.RunUntil(ne.at)
 		}
@@ -362,7 +383,7 @@ func (c *Cluster) applyEvent(sr *scenarioRun, n *Node, ne nodeEvent) {
 		// kill stopped stays stopped — a later timeline event can restart
 		// it explicitly.
 		if w := sr.topo.windowEndingAt(n.Index, ne.at); w != nil {
-			sr.migrated[n.Index] += c.replayMigration(w.manifest)
+			sr.nodes[n.Index].migrated += c.replayMigration(w.manifest)
 		}
 	case workload.EventDegradeNode, workload.EventHealNode, workload.EventFaultWindow:
 		// Soft faults are schedule-driven (resilience.go compiles them up
@@ -371,36 +392,18 @@ func (c *Cluster) applyEvent(sr *scenarioRun, n *Node, ne nodeEvent) {
 	}
 }
 
-// pcIndexAt flattens an attempt's (phase, class) onto its segmentation
-// cell, or -1 for single-cell scenarios (whose base digests cover
-// everything).
-func (sr *scenarioRun) pcIndexAt(phase, class int32) int32 {
-	if sr.pc == nil {
-		return -1
-	}
-	return int32(sr.pcOff[phase]) + class
-}
-
-// setFate records a chain attempt's outcome in the serving node's fate
-// table, but only when a conditional successor will read it (attTracked,
-// never set on a hedge); everything else would be dead state.
-func (sr *scenarioRun) setFate(node int, meta resAttempt, failed bool) {
-	if meta.is(attTracked) {
-		sr.fates[node][meta.id] = failed
-	}
-}
-
 // serveScenario fires the serving node's due events, runs the resilience
 // layer's node-local checks (conditional-retry fate, admission control,
-// fail-fast errors), serves the request through the shared serve path, and
-// segments the recorded latency into the request's (phase, class, node)
-// cell. inst is the replica-chain position routing picked (0 — the primary
-// — whenever the scenario has no topology events). Every decision here
-// depends only on the node's own arrival-ordered state, which is what
-// keeps the two engines bit-identical.
-func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32, req workload.Request, meta resAttempt) {
-	in := c.shards[shardID].instances[inst]
+// fail-fast errors), serves the request, and segments the recorded latency
+// into the request's (phase, class) cell of the node's record. inst is the
+// replica-chain position routing picked (0 — the primary — whenever the
+// scenario has no topology events). Every decision here depends only on the
+// node's own arrival-ordered state, which is what keeps the two engines
+// bit-identical.
+func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, cell int32, req workload.Request, meta resAttempt) {
+	in := &c.shards[shardID].instances[inst]
 	n := in.node
+	nr := &sr.nodes[n.Index]
 	c.fireEventsUpTo(sr, n, req.At)
 	if sr.met != nil {
 		// Roll the node's metrics windows at the arrival, before any verdict:
@@ -408,40 +411,38 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 		sr.met.Tick(n.Index, req.At)
 	}
 	// Every flag below is set only inside the resilience layer, so the
-	// counters it indexes exist whenever a check passes.
+	// fate table exists whenever a check passes.
 	if meta.is(attCond) {
 		// Speculative timeout retry: fires only if the chain's previous
 		// attempt failed here. Either way the fate entry is consumed.
-		failed := sr.fates[n.Index][meta.id]
+		failed := nr.fates[meta.id]
 		if !meta.is(attTracked) {
-			delete(sr.fates[n.Index], meta.id)
+			delete(nr.fates, meta.id)
 		}
 		if !failed {
 			return // the previous attempt succeeded: never sent
 		}
 	}
 	if meta.is(attRetry) {
-		sr.retries[n.Index]++
+		nr.retries++
 	}
 	if meta.is(attHedge) {
-		sr.hedges[n.Index]++
+		nr.hedges++
 	}
-	if sr.ctl != nil {
+	if nr.ctl != nil && !nr.ctl.admit(req.At) {
 		// SLO admission control, before the request can queue. A shed
 		// attempt terminates its chain: brownout clients must not pile
 		// retries onto a node that just told them to back off.
-		if ctl := sr.ctl[n.Index]; !ctl.admit(req.At) {
-			sr.shed[n.Index]++
-			sr.setFate(n.Index, meta, false)
-			return
-		}
+		nr.shed++
+		nr.setFate(meta, false)
+		return
 	}
 	if meta.is(attErr) {
 		// Fault-window error: fail fast, no service work, no clock cost.
-		sr.errors[n.Index]++
-		sr.setFate(n.Index, meta, true)
+		nr.errors++
+		nr.setFate(meta, true)
 		if meta.is(attLast) {
-			sr.failed[n.Index]++
+			nr.failed++
 		}
 		return
 	}
@@ -451,19 +452,19 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 			// queued in: count it, serve nothing. The client sees a dead
 			// connection — a timeout-speculative retry (if one exists)
 			// will fire.
-			sr.qdropped[n.Index]++
-			sr.setFate(n.Index, meta, true)
+			nr.qdropped++
+			nr.setFate(meta, true)
 			return
 		}
 		if inst > 0 && !meta.is(attHedge) {
 			// A hedge on a replica is there by design, not because the
 			// primary was down — it is not a failover serve.
-			sr.failover[n.Index]++
+			nr.failover++
 		}
 	}
-	lat := c.serveOn(sr.st, shardID, int(inst), req)
-	if sr.ctl != nil {
-		sr.ctl[n.Index].observe(lat)
+	lat := c.serve(nr, sr.shard[shardID][inst], in, req)
+	if nr.ctl != nil {
+		nr.ctl.observe(lat)
 	}
 	if sr.met != nil {
 		sr.met.Observe(n.Index, lat)
@@ -471,24 +472,24 @@ func (c *Cluster) serveScenario(sr *scenarioRun, shardID int, inst, pcIdx int32,
 	if meta.id != 0 && !meta.is(attHedge) {
 		// A chain attempt is judged against its class's client deadline.
 		timedOut := false
-		if rc := &sr.res.class[meta.cls]; rc.timeout > 0 && lat > rc.timeout {
+		if rc := &sr.res.class[cell]; rc.timeout > 0 && lat > rc.timeout {
 			timedOut = true
-			sr.timeouts[n.Index]++
+			nr.timeouts++
 			if meta.is(attLast) {
-				sr.failed[n.Index]++
+				nr.failed++
 			}
 		}
-		sr.setFate(n.Index, meta, timedOut)
+		nr.setFate(meta, timedOut)
 	}
-	if pcIdx < 0 { // single-cell scenario: the base digests cover it
+	if nr.cells == nil {
 		return
 	}
-	pc := sr.pc[pcIdx]
-	pc.node[n.Index].Record(lat)
+	cr := &nr.cells[cell]
+	cr.rec.Record(lat)
 	if req.Op == workload.OpRead {
-		pc.reads[n.Index]++
+		cr.reads++
 	} else {
-		pc.writes[n.Index]++
+		cr.writes++
 	}
 }
 
@@ -531,7 +532,7 @@ func (c *Cluster) RunScenario(scn workload.Scenario) (ScenarioReport, error) {
 // replica chain is down never reach emit — they are counted against the
 // primary and dropped here, at routing.
 func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
-	emit func(req workload.Request, shard, inst, pc int32, meta resAttempt)) []workload.PhaseBound {
+	emit func(req workload.Request, shard, inst, cell int32, meta resAttempt)) []workload.PhaseBound {
 	if flat, ok := scn.FlatLoad(); ok && sr.topo == nil && sr.res == nil {
 		d := workload.NewLoadDriver(flat)
 		bound := workload.PhaseBound{Start: flat.Start, End: flat.Start}
@@ -540,7 +541,7 @@ func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
 			if !ok {
 				break
 			}
-			emit(req, int32(c.router.ShardForKey(req.Key)), 0, -1, resAttempt{})
+			emit(req, int32(c.router.ShardForKey(req.Key)), 0, 0, resAttempt{})
 			bound.End = req.At
 			bound.Requests++
 		}
@@ -553,8 +554,8 @@ func (c *Cluster) generateScenario(scn workload.Scenario, sr *scenarioRun,
 // arrival order, streaming the generation with O(1) workload memory.
 func (c *Cluster) runScenarioSequential(scn workload.Scenario, topo *topology, res *resilience) ScenarioReport {
 	sr := c.newScenarioRun(scn, topo, res)
-	bounds := c.generateScenario(scn, sr, func(req workload.Request, shard, inst, pc int32, meta resAttempt) {
-		c.serveScenario(sr, int(shard), inst, pc, req, meta)
+	bounds := c.generateScenario(scn, sr, func(req workload.Request, shard, inst, cell int32, meta resAttempt) {
+		c.serveScenario(sr, int(shard), inst, cell, req, meta)
 	})
 	return c.finishScenario(sr, scn, bounds)
 }
@@ -566,7 +567,7 @@ type routedScenarioReq struct {
 	req   workload.Request
 	shard int32
 	inst  int32
-	pc    int32
+	cell  int32
 	meta  resAttempt
 }
 
@@ -634,29 +635,19 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 			for ck := range p.ch {
 				for j := 0; j < ck.n; j++ {
 					rr := &ck.reqs[j]
-					c.serveScenario(sr, int(rr.shard), rr.inst, rr.pc, rr.req, rr.meta)
+					c.serveScenario(sr, int(rr.shard), rr.inst, rr.cell, rr.req, rr.meta)
 				}
 				ck.n = 0
 				p.free <- ck
 			}
 		}(&pipes[i])
 	}
-	// primary caches shard → primary-node routing for the common inst==0
-	// case, saving two pointer hops per generated request.
-	primary := make([]int32, len(c.shards))
-	for i, sh := range c.shards {
-		primary[i] = int32(sh.node.Index)
-	}
-	bounds := c.generateScenario(scn, sr, func(req workload.Request, shard, inst, pc int32, meta resAttempt) {
-		node := primary[shard]
-		if inst != 0 {
-			node = int32(c.shards[shard].instances[inst].node.Index)
-		}
-		p := &pipes[node]
+	bounds := c.generateScenario(scn, sr, func(req workload.Request, shard, inst, cell int32, meta resAttempt) {
+		p := &pipes[c.chains[shard][inst]]
 		if p.cur == nil {
 			p.cur = <-p.free
 		}
-		p.cur.reqs[p.cur.n] = routedScenarioReq{req: req, shard: shard, inst: inst, pc: pc, meta: meta}
+		p.cur.reqs[p.cur.n] = routedScenarioReq{req: req, shard: shard, inst: inst, cell: cell, meta: meta}
 		p.cur.n++
 		if p.cur.n == scenarioChunkReqs {
 			p.ch <- p.cur
@@ -683,8 +674,8 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 // serves each node's whole sub-stream on its own goroutine; the per-node
 // sub-streams and serve orders are exactly the pipeline's, so the report is
 // bit-identical and only the wall-clock shape differs. The routing metadata
-// is constant on this path (primary instance, no segmentation cell, empty
-// resilience verdict), so the partition stores bare workload.Requests —
+// is constant on this path (primary instance, the lone cell of a
+// single-cell run, empty resilience verdict), so the partition stores bare workload.Requests —
 // half the bytes of a routedScenarioReq — and the serving goroutine
 // re-derives the shard from the key, which is exactly how the generation
 // side routed it.
@@ -697,10 +688,6 @@ func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scen
 			perNode[i] = make([]workload.Request, 0, per)
 		}
 	}
-	primary := make([]int32, len(c.shards))
-	for i, sh := range c.shards {
-		primary[i] = int32(sh.node.Index)
-	}
 	d := workload.NewLoadDriver(flat)
 	bound := workload.PhaseBound{Start: flat.Start, End: flat.Start}
 	for {
@@ -708,7 +695,7 @@ func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scen
 		if !ok {
 			break
 		}
-		n := primary[c.router.ShardForKey(req.Key)]
+		n := c.chains[c.router.ShardForKey(req.Key)][0]
 		perNode[n] = append(perNode[n], req)
 		bound.End = req.At
 		bound.Requests++
@@ -724,7 +711,7 @@ func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scen
 			defer wg.Done()
 			for k := range reqs {
 				rr := &reqs[k]
-				c.serveScenario(sr, c.router.ShardForKey(rr.Key), 0, -1, *rr, resAttempt{})
+				c.serveScenario(sr, c.router.ShardForKey(rr.Key), 0, 0, *rr, resAttempt{})
 			}
 		}()
 	}
@@ -732,120 +719,145 @@ func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scen
 	return c.finishScenario(sr, scn, []workload.PhaseBound{bound})
 }
 
-// finishScenario drains every node's remaining timeline, runs each node to
-// the scenario's end, settles the fleet through the base finish, and
-// assembles the segmented report. The drain is node-local and runs in node
-// index order, so the report is a pure function of the per-node execution
-// results — the same argument that makes the two engines bit-identical.
+// finishScenario drains every node's remaining timeline, settles the fleet
+// on a common horizon, and assembles the report in one pass over the node
+// records. Merge order is canonical — instances in chain order within a
+// shard, a node's hosted instances in (shard, chain position) order, nodes
+// in index order — so the report is a pure function of the per-node
+// execution results, independent of which engine produced them.
 func (c *Cluster) finishScenario(sr *scenarioRun, scn workload.Scenario, bounds []workload.PhaseBound) ScenarioReport {
-	end := scn.Start
+	// Settle the fleet on one horizon so background work (management
+	// threads, kswapd, daemons) finishes the same window on every node: the
+	// scenario's end or the latest node clock, whichever is later. Firing an
+	// event advances its node's clock to the event's instant, so the horizon
+	// also covers every node's timeline.
+	horizon := scn.Start
 	if len(bounds) > 0 {
-		end = bounds[len(bounds)-1].End
-	}
-	for _, q := range sr.events {
-		if len(q) > 0 {
-			if at := q[len(q)-1].at; at.After(end) {
-				end = at
-			}
-		}
+		horizon = bounds[len(bounds)-1].End
 	}
 	for _, n := range c.nodes {
 		c.fireEventsUpTo(sr, n, simtime.MaxTime)
-		if end.After(n.sched.Now()) {
-			n.sched.RunUntil(end)
+		if n.sched.Now().After(horizon) {
+			horizon = n.sched.Now()
 		}
+	}
+	for _, n := range c.nodes {
+		n.sched.RunUntil(horizon)
 	}
 
-	rep := ScenarioReport{Name: scn.Name, Report: c.finish(sr.st)}
+	var total int
+	for id, sh := range c.shards {
+		rec := c.newRecorder(sh.rec.Name())
+		for _, inst := range sr.shard[id] {
+			rec.Merge(inst)
+		}
+		total += rec.Count()
+		sh.rec = rec
+	}
+	rep := ScenarioReport{Name: scn.Name, Report: Report{
+		Allocator: c.cfg.Allocator, Service: c.cfg.Service(), Stats: c.cfg.StatsBackend(),
+	}}
+	var slo *workload.SLO
 	if sr.res != nil {
-		for ni := range c.nodes {
-			nr := &rep.PerNode[ni]
-			nr.Retries = sr.retries[ni]
-			nr.Timeouts = sr.timeouts[ni]
-			nr.Errors = sr.errors[ni]
-			nr.Hedges = sr.hedges[ni]
-			nr.Shed = sr.shed[ni]
-			nr.Failed = sr.failed[ni]
-			nr.SLOCompliance = 1
-			rep.Retries += nr.Retries
-			rep.Timeouts += nr.Timeouts
-			rep.Errors += nr.Errors
-			rep.Hedges += nr.Hedges
-			rep.Shed += nr.Shed
-			rep.Failed += nr.Failed
-		}
+		slo = sr.res.slo
 		rep.SLOCompliance = 1
-		if slo := sr.res.slo; slo != nil {
-			// Compliance counts served requests at or under the target,
-			// assembled from the run-local instance digests exactly as the
-			// node digests were — counts, not averaged ratios, so the
-			// aggregate is exact.
-			rep.SLOTarget = slo.P99
-			var totalCount, totalAbove int64
-			for ni, n := range c.nodes {
-				var count, above int64
-				for _, sh := range c.shards {
-					for inst := range sh.instances {
-						if sh.instances[inst].node == n {
-							rec := sr.st.shard[sh.ID][inst]
-							count += int64(rec.Count())
-							above += rec.CountAbove(slo.P99)
-						}
-					}
-				}
-				if count > 0 {
-					rep.PerNode[ni].SLOCompliance = 1 - float64(above)/float64(count)
-				}
-				totalCount += count
-				totalAbove += above
-			}
-			if totalCount > 0 {
-				rep.SLOCompliance = 1 - float64(totalAbove)/float64(totalCount)
-			}
+	}
+	clusterRec := c.newRecorder("cluster")
+	clusterRec.Reserve(total)
+	waitRec := c.newRecorder("queue-wait")
+	var above int64
+	for i, n := range c.nodes {
+		nr := &sr.nodes[i]
+		runNode := c.newRecorder(n.Name)
+		count := 0
+		for _, rec := range nr.hosted {
+			count += rec.Count()
 		}
-		if sr.ctl != nil {
-			// The action log: per node in firing order, merged cluster-wide
-			// by instant (stable, so same-instant actions keep node order).
-			// Assembled in node index order — a pure function of the
-			// per-node controller trajectories, like everything else here.
-			for ni := range c.nodes {
-				acts := sr.ctl[ni].log
-				rep.PerNode[ni].Actions = acts
-				rep.Actions = append(rep.Actions, acts...)
+		runNode.Reserve(count)
+		for _, rec := range nr.hosted {
+			runNode.Merge(rec)
+		}
+		clusterRec.Merge(runNode)
+		waitRec.Merge(nr.wait)
+		r := NodeReport{
+			Name:          n.Name,
+			Shards:        len(n.shards),
+			Latency:       runNode.Summarize(),
+			Kernel:        n.kernel.Stats(),
+			Failovers:     nr.failover,
+			Dropped:       nr.routeDropped + nr.qdropped,
+			MigratedBytes: nr.migrated,
+			Retries:       nr.retries,
+			Timeouts:      nr.timeouts,
+			Errors:        nr.errors,
+			Hedges:        nr.hedges,
+			Shed:          nr.shed,
+			Failed:        nr.failed,
+			SLOCompliance: rep.SLOCompliance,
+		}
+		if sr.topo != nil {
+			// The drain above fired every event and the horizon bounds every
+			// window, so downtime is engine-independent.
+			r.Downtime = sr.topo.downtimeUpTo(i, horizon)
+		}
+		if slo != nil {
+			// Compliance counts served requests at or under the target —
+			// counts, not averaged ratios, so the aggregate is exact.
+			var nodeAbove int64
+			for _, rec := range nr.hosted {
+				nodeAbove += rec.CountAbove(slo.P99)
 			}
-			sort.SliceStable(rep.Actions, func(i, j int) bool {
-				return rep.Actions[i].At.Before(rep.Actions[j].At)
-			})
+			if count > 0 {
+				r.SLOCompliance = 1 - float64(nodeAbove)/float64(count)
+			}
+			above += nodeAbove
+		}
+		if nr.ctl != nil {
+			r.Actions = nr.ctl.log
+			rep.Actions = append(rep.Actions, nr.ctl.log...)
+		}
+		rep.Reads += nr.reads
+		rep.Writes += nr.writes
+		rep.Failovers += r.Failovers
+		rep.Dropped += r.Dropped
+		rep.MigratedBytes += r.MigratedBytes
+		rep.Retries += r.Retries
+		rep.Timeouts += r.Timeouts
+		rep.Errors += r.Errors
+		rep.Hedges += r.Hedges
+		rep.Shed += r.Shed
+		rep.Failed += r.Failed
+		rep.PerNode = append(rep.PerNode, r)
+	}
+	rep.Requests = rep.Reads + rep.Writes
+	rep.Cluster = clusterRec.Summarize()
+	rep.Wait = waitRec.Summarize()
+	for _, sh := range c.shards {
+		rep.PerShard = append(rep.PerShard, sh.rec.Summarize())
+	}
+	if slo != nil {
+		rep.SLOTarget = slo.P99
+		if total > 0 {
+			rep.SLOCompliance = 1 - float64(above)/float64(total)
 		}
 	}
-	if sr.topo != nil {
-		// Every node sits on the common settle horizon after finish, and
-		// the drain above fired every event, so the horizon bounds every
-		// window — downtime is engine-independent.
-		horizon := c.nodes[0].sched.Now()
-		for ni := range c.nodes {
-			nr := &rep.PerNode[ni]
-			nr.Downtime = sr.topo.downtimeUpTo(ni, horizon)
-			nr.Failovers = sr.failover[ni]
-			nr.Dropped = sr.routeDropped[ni] + sr.qdropped[ni]
-			nr.MigratedBytes = sr.migrated[ni]
-			rep.Failovers += nr.Failovers
-			rep.Dropped += nr.Dropped
-			rep.MigratedBytes += nr.MigratedBytes
-		}
-	}
+	// The cluster-wide action log: per-node logs in node index order, merged
+	// by instant (stable, so same-instant actions keep node order).
+	sort.SliceStable(rep.Actions, func(i, j int) bool {
+		return rep.Actions[i].At.Before(rep.Actions[j].At)
+	})
 	if sr.met != nil {
-		// Every node settled on the common horizon in c.finish, so the
-		// series' trailing window is the same span for every node. Actions
-		// are attributed to windows from the merged log assembled above.
-		sr.met.Finish(c.nodes[0].sched.Now())
+		// Every node settled on the horizon, so the series' trailing window
+		// is the same span for every node. Actions are attributed to windows
+		// from the merged log.
+		sr.met.Finish(horizon)
 		times := make([]simtime.Time, len(rep.Actions))
 		for i, a := range rep.Actions {
 			times[i] = a.At
 		}
 		rep.Metrics = sr.met.Series(times)
 	}
-	if sr.pc == nil {
+	if sr.nodes[0].cells == nil {
 		// Single-cell scenario: the lone phase × class cell is the whole
 		// run, so its digests are the base report's.
 		p := scn.Phases[0]
@@ -880,14 +892,15 @@ func (c *Cluster) finishScenario(sr *scenarioRun, scn workload.Scenario, bounds 
 		}
 		phaseRec := c.newRecorder("phase/" + p.Name)
 		for ci, tc := range p.Classes {
-			pc := sr.pc[sr.pcOff[pi]+ci]
+			cell := sr.cellOff[pi] + ci
 			classRec := c.newRecorder(p.Name + "/" + tc.Name)
 			cr := ClassReport{Name: tc.Name}
-			for ni := range c.nodes {
-				classRec.Merge(pc.node[ni])
-				cr.PerNode = append(cr.PerNode, pc.node[ni].Summarize())
-				cr.Reads += pc.reads[ni]
-				cr.Writes += pc.writes[ni]
+			for ni := range sr.nodes {
+				nc := &sr.nodes[ni].cells[cell]
+				classRec.Merge(nc.rec)
+				cr.PerNode = append(cr.PerNode, nc.rec.Summarize())
+				cr.Reads += nc.reads
+				cr.Writes += nc.writes
 			}
 			cr.Requests = cr.Reads + cr.Writes
 			cr.Latency = classRec.Summarize()
