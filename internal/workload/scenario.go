@@ -193,20 +193,22 @@ func (r Resilience) Validate() error {
 	if r.Jitter < 0 || r.Jitter >= 1 {
 		return fmt.Errorf("resilience Jitter must be in [0, 1) (got %v)", r.Jitter)
 	}
-	if r.Hedge < 0 {
-		return fmt.Errorf("resilience Hedge must be >= 0 (got %v)", r.Hedge)
+	if r.Hedge < 0 || r.Hedge > maxSpan {
+		return fmt.Errorf("resilience Hedge must be in [0, 2^62 ns] (got %v)", r.Hedge)
 	}
-	if span := r.chainSpan(); span > maxChainSpan {
+	if span := r.chainSpan(); span > maxSpan {
 		return fmt.Errorf("resilience Retries=%d with Backoff=%v lets one retry chain span %.3g ns (Retries*Timeout + Backoff*(2^Retries-1)*(1+Jitter)), over the 2^62 ns limit: lower Retries or Backoff",
 			r.Retries, r.Backoff, span)
 	}
 	return nil
 }
 
-// maxChainSpan bounds how far past its first attempt a retry chain may
-// reach: 2^62 ns, about 146 years. An attempt below that instant plus its
-// chain then stays below simtime.MaxTime.
-const maxChainSpan = float64(1 << 62)
+// maxSpan bounds every span of virtual time a scenario declares: the
+// timeline (Start, each phase's end, each event's instant and end), how far
+// a retry chain reaches past its first attempt, and a hedge delay. It is
+// 2^62 ns, about 146 years, so an instant before the timeline's end plus a
+// chain or a hedge stays below simtime.MaxTime.
+const maxSpan = 1 << 62
 
 // chainSpan returns the longest a retry chain can run past its first
 // attempt: Retries·Timeout + Backoff·(2^Retries − 1)·(1 + Jitter). It is
@@ -676,6 +678,12 @@ func (s Scenario) Validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("scenario %q: needs at least one phase", s.Name)
 	}
+	if s.Start < 0 || s.Start > maxSpan {
+		return fmt.Errorf("scenario %q: Start must be in [0, 2^62 ns] (got %v)", s.Name, s.Start)
+	}
+	// room is what the timeline has left before maxSpan. Subtracting from it
+	// cannot overflow, where adding to an instant could.
+	room := simtime.Duration(maxSpan - s.Start)
 	for pi, p := range s.Phases {
 		where := fmt.Sprintf("scenario %q phase %d (%q)", s.Name, pi, p.Name)
 		if p.Duration <= 0 && p.Requests <= 0 {
@@ -687,6 +695,10 @@ func (s Scenario) Validate() error {
 		if p.Requests < 0 {
 			return fmt.Errorf("%s: Requests must be >= 0 (got %d)", where, p.Requests)
 		}
+		if p.Duration > room {
+			return fmt.Errorf("%s: Duration %v ends the phase past 2^62 ns (Start plus the phase Durations so far leave %v)", where, p.Duration, room)
+		}
+		room -= p.Duration
 		if err := p.Shape.Validate(p.Duration); err != nil {
 			return fmt.Errorf("%s: shape: %w", where, err)
 		}
@@ -710,6 +722,11 @@ func (s Scenario) Validate() error {
 	for ei, e := range s.Events {
 		if err := e.Validate(); err != nil {
 			return fmt.Errorf("scenario %q event %d (%s): %w", s.Name, ei, e.Kind, err)
+		}
+		room := simtime.Duration(maxSpan - s.Start)
+		if e.At > room || e.Duration > room-e.At {
+			return fmt.Errorf("scenario %q event %d (%s): Start+At+Duration passes 2^62 ns (Start=%v At=%v Duration=%v)",
+				s.Name, ei, e.Kind, s.Start, e.At, e.Duration)
 		}
 	}
 	if s.SLO != nil {

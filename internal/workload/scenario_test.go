@@ -380,6 +380,93 @@ func TestResilienceRetrySpanBound(t *testing.T) {
 	}
 }
 
+// TestResilienceHedgeBound: a hedge delay past 2^62 ns is rejected by name;
+// one at the limit is accepted. Unbounded, a 2562047h hedge wrapped its
+// arrival instant negative and the run panicked on a negative latency.
+func TestResilienceHedgeBound(t *testing.T) {
+	for _, h := range []simtime.Duration{1<<62 + 1, 9223372036 * simtime.Second, math.MaxInt64} {
+		err := Resilience{Hedge: h}.Validate()
+		if err == nil {
+			t.Errorf("Hedge=%v: accepted a hedge past 2^62 ns", h)
+			continue
+		}
+		if !strings.Contains(err.Error(), "Hedge") {
+			t.Errorf("Hedge=%v: error %q does not name Hedge", h, err)
+		}
+	}
+	for _, h := range []simtime.Duration{0, 250 * simtime.Microsecond, 1 << 62} {
+		if err := (Resilience{Hedge: h}).Validate(); err != nil {
+			t.Errorf("Hedge=%v: rejected a hedge inside 2^62 ns: %v", h, err)
+		}
+	}
+}
+
+// TestScenarioTimelineBound: a Start outside [0, 2^62 ns], phase durations
+// whose running sum from Start passes 2^62 ns, and an event whose
+// Start+At+Duration passes it are rejected, each error naming the phase or
+// event; a timeline that ends exactly at 2^62 ns is accepted. Unbounded, a
+// 9223372036s phase wrapped the next phase's start negative and the run
+// exited 0 with a negative horizon.
+func TestScenarioTimelineBound(t *testing.T) {
+	const limit = simtime.Duration(1 << 62)
+	bounded := func(mutate func(*Scenario)) Scenario {
+		s := multiClassScenario()
+		mutate(&s)
+		return s
+	}
+	reject := []struct {
+		name string
+		scn  Scenario
+		want string
+	}{
+		{"negative start", bounded(func(s *Scenario) { s.Start = -1 }), "Start"},
+		{"start past the limit", bounded(func(s *Scenario) { s.Start = simtime.Time(limit) + 1 }), "Start"},
+		{"wrapping phase", bounded(func(s *Scenario) {
+			s.Start = simtime.Time(simtime.Second)
+			s.Phases[0].Duration = 9223372036 * simtime.Second
+		}), `phase 0 ("warm")`},
+		{"running sum past the limit", bounded(func(s *Scenario) {
+			s.Phases[0].Duration = limit / 2
+			s.Phases[1].Duration = limit/2 + 1
+		}), `phase 1 ("peak")`},
+		{"event past the limit", bounded(func(s *Scenario) {
+			s.Start = simtime.Time(simtime.Second)
+			s.Events = []Event{
+				{At: simtime.Second, Node: -1, Kind: EventPressureStop},
+				{At: limit, Node: -1, Kind: EventPressureStop},
+			}
+		}), "event 1"},
+		{"event window past the limit", bounded(func(s *Scenario) {
+			s.Events = []Event{{At: limit - simtime.Second, Node: 0, Kind: EventFaultWindow, ErrorRate: 0.5, Duration: math.MaxInt64}}
+		}), "event 0"},
+	}
+	for _, tc := range reject {
+		err := tc.scn.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted a timeline past 2^62 ns", tc.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.want) || !strings.Contains(msg, "2^62") {
+			t.Errorf("%s: error %q does not name %s and the 2^62 ns limit", tc.name, msg, tc.want)
+		}
+	}
+	accept := []Scenario{
+		bounded(func(s *Scenario) {
+			s.Start = simtime.Time(limit - 500*simtime.Millisecond)
+			s.Events = []Event{{At: 400 * simtime.Millisecond, Node: 0, Kind: EventFaultWindow, ErrorRate: 0.5, Duration: 100 * simtime.Millisecond}}
+		}),
+		bounded(func(s *Scenario) {
+			s.Start = simtime.Time(limit)
+			s.Phases = []Phase{{Name: "tail", Requests: 10, Classes: s.Phases[2].Classes}}
+		}),
+	}
+	for i, s := range accept {
+		if err := s.Validate(); err != nil {
+			t.Errorf("accept case %d: rejected a timeline that ends at 2^62 ns: %v", i, err)
+		}
+	}
+}
+
 // TestScenarioJSONRoundTrip: marshal → parse reproduces the scenario.
 func TestScenarioJSONRoundTrip(t *testing.T) {
 	s := multiClassScenario()
