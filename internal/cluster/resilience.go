@@ -354,7 +354,9 @@ type resExpander struct {
 func (x *resExpander) backoffDelay(rc *resClass, k int) simtime.Duration {
 	d := rc.backoff << uint(k-1)
 	if rc.jitter > 0 {
-		d = simtime.Duration(float64(d) * (1 + rc.jitter*x.sr.res.jit.Float64()))
+		// The product is rounded on its own, so no platform fuses it into
+		// the add.
+		d = simtime.Duration(float64(d) * (1 + float64(rc.jitter*x.sr.res.jit.Float64())))
 	}
 	return d
 }

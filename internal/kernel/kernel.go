@@ -332,7 +332,9 @@ func (k *Kernel) AmbientFactor(now simtime.Time) float64 {
 // staying deterministic under the seed.
 func (k *Kernel) probRound(x float64) int64 {
 	n := int64(x)
-	if k.rng.Float64() < x-float64(n) {
+	// Callers pass products; converting x rounds the inlined product, so
+	// no platform fuses it into the subtract.
+	if k.rng.Float64() < float64(x)-float64(n) {
 		n++
 	}
 	return n

@@ -37,13 +37,15 @@ func quantileSorted(s []float64, q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(len(s)-1)
+	// Each conversion rounds a product on its own, so no platform fuses it
+	// into the subtract or add that follows.
+	rank := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s[lo]
 	}
-	return s[lo] + (rank-float64(lo))*(s[hi]-s[lo])
+	return s[lo] + float64((rank-float64(lo))*(s[hi]-s[lo]))
 }
 
 // Median returns the median of xs (the 0.5 Quantile): the middle element
@@ -105,6 +107,6 @@ func BootstrapCI(xs []float64, conf float64, resamples int, seed uint64) (lo, hi
 		meds[r] = Median(resample)
 	}
 	sort.Float64s(meds)
-	alpha := (1 - conf) / 2
+	alpha := float64((1 - conf) / 2) // the halving compiles to a multiply: keep it unfused
 	return quantileSorted(meds, alpha), quantileSorted(meds, 1-alpha)
 }

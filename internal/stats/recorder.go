@@ -157,7 +157,8 @@ func (r *Recorder) Percentile(q float64) time.Duration {
 	if len(r.samples) == 1 {
 		return r.samples[0]
 	}
-	rank := q / 100 * float64(len(r.samples)-1)
+	// Rounded on its own, so no platform fuses it into frac's subtract.
+	rank := float64(q / 100 * float64(len(r.samples)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {

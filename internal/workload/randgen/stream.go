@@ -89,9 +89,11 @@ func (s *Stream) Uint64() uint64 {
 	return mix64(s.state)
 }
 
-// Float64 returns a uniform float64 in [0, 1) with 53 random bits.
+// Float64 returns a uniform float64 in [0, 1) with 53 random bits. The
+// conversion rounds the product here, so once inlined it cannot fuse with a
+// caller's add or subtract into an FMA.
 func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) * 0x1p-53
+	return float64(float64(s.Uint64()>>11) * 0x1p-53)
 }
 
 // Uint64N returns a uniform integer in [0, n) by Lemire's nearly

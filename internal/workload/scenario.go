@@ -108,14 +108,14 @@ func (r RateShape) factor(rel, dur simtime.Duration) float64 {
 		} else if frac > 1 {
 			frac = 1
 		}
-		return r.From + (r.To-r.From)*frac
+		return r.From + float64((r.To-r.From)*frac) // rounded: never fused into an FMA
 	case ShapeSpike:
 		if rel >= r.At && rel < r.At+r.Width {
 			return r.Factor
 		}
 		return 1
 	case ShapeDiurnal:
-		return 1 + r.Amplitude*math.Sin(2*math.Pi*float64(rel)/float64(r.Period))
+		return 1 + float64(r.Amplitude*math.Sin(2*math.Pi*float64(rel)/float64(r.Period)))
 	default:
 		return 1
 	}
