@@ -167,7 +167,7 @@ type nodeRun struct {
 	retries       int64 // retry attempts that actually fired
 	timeouts      int64 // served attempts whose latency beat the class deadline
 	errors        int64 // attempts failed fast by a fault window
-	hedges        int64 // speculative read hedges served
+	hedges        int64 // speculative read hedges sent
 	shed          int64 // attempts rejected by admission control
 	failed        int64 // chains exhausted without a successful attempt
 	// routeDropped counts requests whose whole replica chain was down at
