@@ -149,7 +149,7 @@ type nodeRun struct {
 	// cells segments the node's latencies by (phase, class) cell. It is nil
 	// for single-cell scenarios (one phase, one class — every flat Run): the
 	// lone cell's digests equal the base report's, so segmenting would only
-	// re-sort every raw sample a third time.
+	// record and sort every raw sample a second time.
 	cells []cellRun
 	// degrade is the node's service-slowdown schedule compiled from
 	// degrade-node/heal-node events (nil without them); the factor is looked
@@ -181,6 +181,20 @@ type nodeRun struct {
 type cellRun struct {
 	rec           *stats.Recorder
 	reads, writes int64
+}
+
+// sortDigests sorts every digest the node's requests were recorded into.
+// Only serve records into them, so the node's goroutine calls it when its
+// stream ends: the sorting runs in parallel across nodes, and
+// finishScenario's merges share the sorted samples instead of sorting them.
+func (nr *nodeRun) sortDigests() {
+	nr.wait.Sort()
+	for _, rec := range nr.hosted {
+		rec.Sort()
+	}
+	for _, cr := range nr.cells {
+		cr.rec.Sort()
+	}
 }
 
 // setFate records a chain attempt's outcome in the node's fate table, but
@@ -630,7 +644,7 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 			pipes[i].free <- new(scenarioChunk)
 		}
 		wg.Add(1)
-		go func(p *nodePipe) {
+		go func(p *nodePipe, nr *nodeRun) {
 			defer wg.Done()
 			for ck := range p.ch {
 				for j := 0; j < ck.n; j++ {
@@ -640,7 +654,8 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 				ck.n = 0
 				p.free <- ck
 			}
-		}(&pipes[i])
+			nr.sortDigests()
+		}(&pipes[i], &sr.nodes[i])
 	}
 	bounds := c.generateScenario(scn, sr, func(req workload.Request, shard, inst, cell int32, meta resAttempt) {
 		p := &pipes[c.chains[shard][inst]]
@@ -713,6 +728,7 @@ func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scen
 				rr := &reqs[k]
 				c.serveScenario(sr, c.router.ShardForKey(rr.Key), 0, 0, *rr, resAttempt{})
 			}
+			sr.nodes[i].sortDigests()
 		}()
 	}
 	wg.Wait()
@@ -724,7 +740,10 @@ func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scen
 // records. Merge order is canonical — instances in chain order within a
 // shard, a node's hosted instances in (shard, chain position) order, nodes
 // in index order — so the report is a pure function of the per-node
-// execution results, independent of which engine produced them.
+// execution results, independent of which engine produced them. Raw merges
+// share the digests' sorted samples, which the parallel engines sorted on
+// the node goroutines and the sequential oracle sorts here, and every
+// rollup statistic is an exact selection across them.
 func (c *Cluster) finishScenario(sr *scenarioRun, scn workload.Scenario, bounds []workload.PhaseBound) ScenarioReport {
 	// Settle the fleet on one horizon so background work (management
 	// threads, kswapd, daemons) finishes the same window on every node: the
@@ -763,17 +782,11 @@ func (c *Cluster) finishScenario(sr *scenarioRun, scn workload.Scenario, bounds 
 		rep.SLOCompliance = 1
 	}
 	clusterRec := c.newRecorder("cluster")
-	clusterRec.Reserve(total)
 	waitRec := c.newRecorder("queue-wait")
 	var above int64
 	for i, n := range c.nodes {
 		nr := &sr.nodes[i]
 		runNode := c.newRecorder(n.Name)
-		count := 0
-		for _, rec := range nr.hosted {
-			count += rec.Count()
-		}
-		runNode.Reserve(count)
 		for _, rec := range nr.hosted {
 			runNode.Merge(rec)
 		}
@@ -803,11 +816,8 @@ func (c *Cluster) finishScenario(sr *scenarioRun, scn workload.Scenario, bounds 
 		if slo != nil {
 			// Compliance counts served requests at or under the target —
 			// counts, not averaged ratios, so the aggregate is exact.
-			var nodeAbove int64
-			for _, rec := range nr.hosted {
-				nodeAbove += rec.CountAbove(slo.P99)
-			}
-			if count > 0 {
+			nodeAbove := runNode.CountAbove(slo.P99)
+			if count := runNode.Count(); count > 0 {
 				r.SLOCompliance = 1 - float64(nodeAbove)/float64(count)
 			}
 			above += nodeAbove

@@ -28,18 +28,10 @@ func (r *Recorder) CDF(n int) []CDFPoint {
 		}
 		return points
 	}
-	r.ensureSorted()
 	points := make([]CDFPoint, 0, n)
 	for i := 1; i <= n; i++ {
 		frac := float64(i) / float64(n)
-		idx := int(frac*float64(len(r.samples))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(r.samples) {
-			idx = len(r.samples) - 1
-		}
-		points = append(points, CDFPoint{Latency: r.samples[idx], Fraction: frac})
+		points = append(points, CDFPoint{Latency: r.atFraction(frac), Fraction: frac})
 	}
 	return points
 }
@@ -65,23 +57,29 @@ func (r *Recorder) TailCDF(from float64, n int) []CDFPoint {
 		}
 		return points
 	}
-	r.ensureSorted()
 	points := make([]CDFPoint, 0, n)
 	for i := 0; i < n; i++ {
 		frac := from + (1-from)*float64(i)/span
 		if frac > 1 {
 			frac = 1
 		}
-		idx := int(frac*float64(len(r.samples))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(r.samples) {
-			idx = len(r.samples) - 1
-		}
-		points = append(points, CDFPoint{Latency: r.samples[idx], Fraction: frac})
+		points = append(points, CDFPoint{Latency: r.atFraction(frac), Fraction: frac})
 	}
 	return points
+}
+
+// atFraction returns the raw sample at cumulative fraction frac: the
+// ⌊frac·n⌋-th smallest, clamped to the samples.
+func (r *Recorder) atFraction(frac float64) time.Duration {
+	n := r.Count()
+	idx := int(frac*float64(n)) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return r.nth(idx)
 }
 
 // RenderCDFTable renders one or more CDFs side by side as a fixed-fraction

@@ -23,17 +23,20 @@ func oracleRecorder(samples []time.Duration) *Recorder {
 	return o
 }
 
-// assertMatchesOracle checks that r, whose order comes from sortSamples,
-// agrees exactly with the slices.Sort oracle on the sorted samples and on
-// every statistic read from them.
+// assertMatchesOracle checks that r, whose order comes from sortSamples and,
+// for merged runs, from nth's selection, agrees exactly with the
+// slices.Sort oracle on every order statistic and on every statistic read
+// from them.
 func assertMatchesOracle(t *testing.T, r, o *Recorder) {
 	t.Helper()
 	r.name = o.name
 	if got, want := r.Summarize(), o.Summarize(); got != want {
 		t.Fatalf("Summarize = %+v, want %+v", got, want)
 	}
-	if !slices.Equal(r.samples, o.samples) {
-		t.Fatalf("sorted samples differ from the slices.Sort oracle (n=%d)", len(o.samples))
+	for i, want := range o.samples {
+		if got := r.nth(i); got != want {
+			t.Fatalf("nth(%d) = %d, want %d from the slices.Sort oracle (n=%d)", i, got, want, len(o.samples))
+		}
 	}
 	if got, want := r.CDF(1000), o.CDF(1000); !reflect.DeepEqual(got, want) {
 		t.Fatal("CDF(1000) differs from the oracle")
@@ -97,8 +100,8 @@ func TestSortSamplesMatchesOracle(t *testing.T) {
 	}
 }
 
-// A recorder sorted once, then grown by Merge, must sort again to the
-// oracle's order over the union.
+// A recorder sorted once, then grown by Merge, must read the oracle's
+// order statistics over the union.
 func TestSortSamplesAfterMerge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	r, other := NewRecorder("radix"), NewRecorder("other")
@@ -123,7 +126,7 @@ func TestSortSamplesAfterMerge(t *testing.T) {
 func TestSortSamplesAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	r := NewRecorder("allocs")
-	r.Reserve(100_000)
+	r.samples = make([]time.Duration, 0, 100_000)
 	for i := 0; i < 100_000; i++ {
 		r.Record(time.Duration(rng.Int64N(int64(10 * time.Millisecond))))
 	}
@@ -157,13 +160,19 @@ func TestPercentileNaN(t *testing.T) {
 	}
 }
 
-// FuzzSortSamples checks sortSamples against slices.Sort. The samples are
-// the 8-byte words of raw followed by n generated ones: width random bits
-// shifted left by shift, so the fuzzer can steer duplicates and which bytes
-// differ. The sign bit is cleared, as Record guarantees. The seed corpus is
-// in testdata/fuzz/FuzzSortSamples.
+// FuzzSortSamples checks sortSamples against slices.Sort, and merged runs
+// against the oracle recorder. The samples are the 8-byte words of raw
+// followed by n generated ones: width random bits shifted left by shift, so
+// the fuzzer can steer duplicates and which bytes differ. The sign bit is
+// cleared, as Record guarantees. The same samples are also split across 1–8
+// recorders, as many as the low three bits of raw's first byte say, and
+// merged by mergeNested. The seed corpus is in testdata/fuzz/FuzzSortSamples.
 func FuzzSortSamples(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, n uint16, width, shift uint8) {
+		k := 1
+		if len(raw) > 0 {
+			k += int(raw[0] % 8)
+		}
 		var xs []time.Duration
 		for ; len(raw) >= 8; raw = raw[8:] {
 			xs = append(xs, time.Duration(binary.LittleEndian.Uint64(raw)&math.MaxInt64))
@@ -174,30 +183,66 @@ func FuzzSortSamples(f *testing.F) {
 			v := (splitmix64(&state) & mask) << (shift % 64)
 			xs = append(xs, time.Duration(v&math.MaxInt64))
 		}
+		parts := make([][]time.Duration, k)
+		for j := range parts {
+			parts[j] = xs[len(xs)*j/k : len(xs)*(j+1)/k]
+		}
+		merged := mergeNested(parts) // records copies, before xs is sorted
 		want := slices.Clone(xs)
 		slices.Sort(want)
 		sortSamples(xs)
 		if !slices.Equal(xs, want) {
 			t.Fatalf("sortSamples differs from slices.Sort on %d samples", len(xs))
 		}
+		assertMatchesOracle(t, merged, oracleRecorder(want))
 	})
+}
+
+// mergeNested records each part into its own recorder and pre-sorts every
+// other one with Sort. It merges the recorders after the first in pairs,
+// then folds each pair into the first, which keeps the samples of its own
+// part, and returns the first.
+func mergeNested(parts [][]time.Duration) *Recorder {
+	recs := make([]*Recorder, len(parts))
+	for j, part := range parts {
+		recs[j] = NewRecorder("part")
+		for _, d := range part {
+			recs[j].Record(d)
+		}
+		if j%2 == 1 {
+			recs[j].Sort()
+		}
+	}
+	for j := 1; j+1 < len(recs); j += 2 {
+		recs[j].Merge(recs[j+1])
+	}
+	for j := 1; j < len(recs); j += 2 {
+		recs[0].Merge(recs[j])
+	}
+	return recs[0]
 }
 
 var summarySink Summary
 
 // BenchmarkRecorderSummarize times Summarize on a freshly filled raw
 // recorder — dominated by the sort — at flat-8n's shard (2M/128), node
-// (2M/8) and cluster (2M) digest sizes.
+// (2M/8) and cluster (2M) digest sizes. The runs=128 case is flat-8n's
+// cluster digest as finish builds it: 128 sorted shard runs of 15,625
+// samples merged into one recorder, so Summarize selects across the runs
+// instead of sorting.
 func BenchmarkRecorderSummarize(b *testing.B) {
+	exp := func(rng *rand.Rand, n int) []time.Duration {
+		xs := make([]time.Duration, n)
+		for i := range xs {
+			xs[i] = 20*time.Microsecond + time.Duration(rng.ExpFloat64()*float64(80*time.Microsecond))
+		}
+		return xs
+	}
 	for _, n := range []int{15_625, 250_000, 2_000_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewPCG(9, uint64(n)))
-			src := make([]time.Duration, n)
-			for i := range src {
-				src[i] = 20*time.Microsecond + time.Duration(rng.ExpFloat64()*float64(80*time.Microsecond))
-			}
+			src := exp(rand.New(rand.NewPCG(9, uint64(n))), n)
 			r := NewRecorder("bench")
-			r.Reserve(n)
+			r.samples = make([]time.Duration, 0, n)
 			for _, d := range src {
 				r.Record(d)
 			}
@@ -211,4 +256,23 @@ func BenchmarkRecorderSummarize(b *testing.B) {
 			}
 		})
 	}
+	b.Run("runs=128", func(b *testing.B) {
+		rng := rand.New(rand.NewPCG(9, 128))
+		shards := make([]*Recorder, 128)
+		for j := range shards {
+			shards[j] = NewRecorder("shard")
+			for _, d := range exp(rng, 15_625) {
+				shards[j].Record(d)
+			}
+			shards[j].Sort()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := NewRecorder("bench")
+			for _, sh := range shards {
+				r.Merge(sh)
+			}
+			summarySink = r.Summarize()
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -16,7 +15,9 @@ import (
 // Raw mode (NewRecorder) keeps every sample: exact percentiles, and raw
 // samples let tests assert CDF shapes directly. It is the right mode for
 // the paper's figure-scale experiments, which record at most a few million
-// samples.
+// samples. A raw recorder's statistics cover its own samples plus the
+// sorted runs Merge shared into it; each statistic is an exact order
+// statistic selected across them, the one sorting their union would give.
 //
 // Streaming mode (NewStreamingRecorder) digests samples into a log-bucketed
 // Histogram: O(1) Record, memory bounded by the bucket ceiling regardless
@@ -26,8 +27,12 @@ type Recorder struct {
 	name    string
 	samples []time.Duration
 	sorted  bool
-	sum     time.Duration
-	hist    *Histogram // non-nil in streaming mode
+	// runs are the sorted sample slices raw Merge shared into r, read-only;
+	// merged is their total length.
+	runs   [][]time.Duration
+	merged int
+	sum    time.Duration
+	hist   *Histogram // non-nil in streaming mode
 }
 
 // NewRecorder returns an empty raw-mode recorder labelled name (used in
@@ -67,11 +72,15 @@ func (r *Recorder) Record(d time.Duration) {
 	r.sum += d
 }
 
-// Merge folds o's samples into r without re-recording them one by one: raw
-// recorders append o's sample slice, streaming recorders add bucket counts
-// in O(buckets). Cluster runs use it to fold run-local digests into shard,
-// node and cluster rollups. Both recorders must be in the same mode; o is
-// left unchanged.
+// Merge folds o's samples into r without re-recording them one by one.
+// Raw recorders share o's samples: Merge sorts them in place and keeps a
+// reference to them, and to every run o itself holds, as read-only sorted
+// runs, so nothing is copied. o's slice is clipped to its length first, so
+// o's later Records reallocate instead of writing into, or re-sorting, a
+// run r reads. Streaming recorders add bucket counts in O(buckets). Cluster
+// runs use it to fold run-local digests into shard, node and cluster
+// rollups. Both recorders must be in the same mode; o's statistics are
+// unchanged.
 func (r *Recorder) Merge(o *Recorder) {
 	if o == nil {
 		return
@@ -83,23 +92,24 @@ func (r *Recorder) Merge(o *Recorder) {
 		r.hist.Merge(o.hist)
 		return
 	}
-	if len(o.samples) == 0 {
-		return
+	if len(o.samples) > 0 {
+		o.ensureSorted()
+		o.samples = slices.Clip(o.samples)
+		r.runs = append(r.runs, o.samples)
 	}
-	r.samples = append(r.samples, o.samples...)
-	r.sorted = false
+	r.runs = append(r.runs, o.runs...)
+	r.merged += o.Count()
 	r.sum += o.sum
 }
 
-// Reserve grows the raw-mode sample buffer to hold n more samples without
-// reallocation — callers that know a merge fan-in's total size (the cluster
-// engine's canonical fold) avoid the append-doubling copies. No-op in
+// Sort sorts the raw samples recorded so far, in place, so later
+// statistics and merges read them without sorting. Cluster runs call it on
+// each node's goroutine, spreading the sort across cores. No-op in
 // streaming mode.
-func (r *Recorder) Reserve(n int) {
-	if r.hist != nil || n <= 0 {
-		return
+func (r *Recorder) Sort() {
+	if r.hist == nil {
+		r.ensureSorted()
 	}
-	r.samples = slices.Grow(r.samples, n)
 }
 
 // Count returns the number of recorded samples.
@@ -107,7 +117,7 @@ func (r *Recorder) Count() int {
 	if r.hist != nil {
 		return int(r.hist.Count())
 	}
-	return len(r.samples)
+	return len(r.samples) + r.merged
 }
 
 // Mean returns the average sample, or 0 when empty.
@@ -135,6 +145,62 @@ func (r *Recorder) ensureSorted() {
 	r.sorted = true
 }
 
+// nth returns the i-th smallest raw sample (0 ≤ i < Count), the element
+// sorting the union of r's samples and runs would put at index i. With one
+// non-empty view it indexes it. With several it bisects on the value for
+// the smallest v with more than i samples ≤ v, counting each sorted view by
+// binary search. Both ends of the bracket are samples: each step snaps the
+// end it moves to the nearest sample on its side of the midpoint, so it
+// halves the range and drops at least one distinct value.
+func (r *Recorder) nth(i int) time.Duration {
+	r.ensureSorted()
+	if len(r.runs) == 0 {
+		return r.samples[i]
+	}
+	if len(r.samples) == 0 && len(r.runs) == 1 {
+		return r.runs[0][i]
+	}
+	lo, hi := r.Min(), r.Max()
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		n, below, above := 0, lo, hi
+		count := func(s []time.Duration) {
+			p := atMost(s, mid)
+			n += p
+			if p > 0 {
+				below = max(below, s[p-1])
+			}
+			if p < len(s) {
+				above = min(above, s[p])
+			}
+		}
+		count(r.samples)
+		for _, run := range r.runs {
+			count(run)
+		}
+		if n > i {
+			hi = below
+		} else {
+			lo = above
+		}
+	}
+	return lo
+}
+
+// atMost returns how many elements of the sorted s are ≤ v.
+func atMost(s []time.Duration, v time.Duration) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] <= v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // Percentile returns the q-th percentile (q in [0,100]; below 0 or NaN
 // clamps to the minimum, above 100 to the maximum). Raw mode uses linear
 // interpolation between closest ranks, matching numpy's default, which is
@@ -144,7 +210,8 @@ func (r *Recorder) Percentile(q float64) time.Duration {
 	if r.hist != nil {
 		return r.hist.Quantile(q)
 	}
-	if len(r.samples) == 0 {
+	n := r.Count()
+	if n == 0 {
 		return 0
 	}
 	if !(q >= 0) { // also catches NaN, which would index at MinInt
@@ -153,19 +220,16 @@ func (r *Recorder) Percentile(q float64) time.Duration {
 	if q > 100 {
 		q = 100
 	}
-	r.ensureSorted()
-	if len(r.samples) == 1 {
-		return r.samples[0]
-	}
 	// Rounded on its own, so no platform fuses it into frac's subtract.
-	rank := float64(q / 100 * float64(len(r.samples)-1))
+	rank := float64(q / 100 * float64(n-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	a := r.nth(lo)
 	if lo == hi {
-		return r.samples[lo]
+		return a
 	}
 	frac := rank - float64(lo)
-	return r.samples[lo] + time.Duration(frac*float64(r.samples[hi]-r.samples[lo]))
+	return a + time.Duration(frac*float64(r.nth(hi)-a))
 }
 
 // Max returns the largest sample, or 0 when empty. Exact in both modes.
@@ -173,11 +237,15 @@ func (r *Recorder) Max() time.Duration {
 	if r.hist != nil {
 		return r.hist.Max()
 	}
-	if len(r.samples) == 0 {
-		return 0
-	}
 	r.ensureSorted()
-	return r.samples[len(r.samples)-1]
+	var m time.Duration
+	if n := len(r.samples); n > 0 {
+		m = r.samples[n-1]
+	}
+	for _, run := range r.runs {
+		m = max(m, run[len(run)-1])
+	}
+	return m
 }
 
 // Min returns the smallest sample, or 0 when empty. Exact in both modes.
@@ -185,11 +253,18 @@ func (r *Recorder) Min() time.Duration {
 	if r.hist != nil {
 		return r.hist.Min()
 	}
-	if len(r.samples) == 0 {
+	if r.Count() == 0 {
 		return 0
 	}
 	r.ensureSorted()
-	return r.samples[0]
+	m := time.Duration(math.MaxInt64)
+	if len(r.samples) > 0 {
+		m = r.samples[0]
+	}
+	for _, run := range r.runs {
+		m = min(m, run[0])
+	}
+	return m
 }
 
 // CountAbove returns how many samples fell strictly above d. Exact in raw
@@ -200,31 +275,23 @@ func (r *Recorder) CountAbove(d time.Duration) int64 {
 	if r.hist != nil {
 		return r.hist.CountAbove(d)
 	}
-	if len(r.samples) == 0 {
-		return 0
-	}
 	r.ensureSorted()
-	idx := sort.Search(len(r.samples), func(i int) bool { return r.samples[i] > d })
-	return int64(len(r.samples) - idx)
+	n := r.Count() - atMost(r.samples, d)
+	for _, run := range r.runs {
+		n -= atMost(run, d)
+	}
+	return int64(n)
 }
 
 // ViolationRatio returns the fraction of samples strictly above slo — the
 // paper's SLO-violation metric (Figs 13, 14). Exact in raw mode; streaming
 // mode resolves the threshold to bucket granularity.
 func (r *Recorder) ViolationRatio(slo time.Duration) float64 {
-	if r.hist != nil {
-		if r.hist.Count() == 0 {
-			return 0
-		}
-		return float64(r.hist.CountAbove(slo)) / float64(r.hist.Count())
-	}
-	if len(r.samples) == 0 {
+	n := r.Count()
+	if n == 0 {
 		return 0
 	}
-	r.ensureSorted()
-	// First index with sample > slo.
-	idx := sort.Search(len(r.samples), func(i int) bool { return r.samples[i] > slo })
-	return float64(len(r.samples)-idx) / float64(len(r.samples))
+	return float64(r.CountAbove(slo)) / float64(n)
 }
 
 // Summary is the fixed set of statistics the paper reports per series:

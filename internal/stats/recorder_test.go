@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,6 +29,64 @@ func TestRecorderBasics(t *testing.T) {
 	}
 	if r.Total() != 60 {
 		t.Fatalf("total = %v", r.Total())
+	}
+}
+
+// TestRecorderMergeSharesRuns pins raw Merge's sharing contract: the
+// merged recorder reads the source's sorted samples in place, so the
+// source's later Records and sorts must not reach them, and a fan-in
+// copies no samples.
+func TestRecorderMergeSharesRuns(t *testing.T) {
+	const n = 5000
+	rng := rand.New(rand.NewPCG(3, 4))
+	a, b := NewRecorder("a"), NewRecorder("b")
+	// Spare capacity, so without the clip b's next Record would write into
+	// the array a shares.
+	b.samples = make([]time.Duration, 0, 2*n)
+	for i := 0; i < n; i++ {
+		a.Record(time.Duration(rng.Int64N(int64(time.Millisecond))))
+		b.Record(time.Duration(rng.Int64N(int64(time.Millisecond))))
+	}
+	a.Merge(b)
+	x := a.Percentile(90)
+	sum, cdf, above := a.Summarize(), a.CDF(100), a.CountAbove(x)
+	for i := 0; i < 10; i++ {
+		b.Record(0)
+	}
+	_ = b.Percentile(99) // re-sorts b
+	if got := a.Summarize(); got != sum {
+		t.Fatalf("Summarize after the source changed = %+v, want %+v", got, sum)
+	}
+	if got := a.CDF(100); !reflect.DeepEqual(got, cdf) {
+		t.Fatal("CDF(100) changed after the source changed")
+	}
+	if got := a.CountAbove(x); got != above {
+		t.Fatalf("CountAbove(%v) after the source changed = %d, want %d", x, got, above)
+	}
+	if got := b.Count(); got != n+10 || b.Min() != 0 {
+		t.Fatalf("source count = %d, min = %v; want %d, 0", got, b.Min(), n+10)
+	}
+
+	srcs := make([]*Recorder, 8)
+	for j := range srcs {
+		srcs[j] = NewRecorder("src")
+		for i := 0; i < 100_000; i++ {
+			srcs[j].Record(time.Duration(rng.Int64N(int64(time.Millisecond))))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	merged := NewRecorder("merged")
+	for _, src := range srcs {
+		merged.Merge(src)
+	}
+	s := merged.Summarize()
+	runtime.ReadMemStats(&after)
+	if s.Count != 800_000 {
+		t.Fatalf("merged count = %d, want 800000", s.Count)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("merging 8×100k samples and summarizing allocated %d B, want < 64 KiB", got)
 	}
 }
 
