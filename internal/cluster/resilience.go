@@ -269,81 +269,107 @@ const (
 
 func (m resAttempt) is(f uint8) bool { return m.flags&f != 0 }
 
-// pendingAttempt is one not-yet-emitted retry or hedge in the expander's
-// heap.
+// pendingAttempt is one attempt on its way through the expander: a client
+// request, or a retry or hedge waiting in the retry queue. Its arrival
+// instant is req.At.
 type pendingAttempt struct {
-	at        simtime.Time
-	seq       int64 // tie-break: insertion order
 	req       workload.Request
-	cell      int32 // (phase, class) cell
 	id        int64
 	attemptNo int
-	cond      bool
-	hedge     bool
+	cell      int32 // (phase, class) cell
 	anchor    int32 // node index a conditional chain is pinned to
 	hinst     int32 // replica-chain position a hedge is pinned to
+	cond      bool
+	hedge     bool
 }
 
-// retryHeap is a min-heap on (at, seq); seq makes same-instant ordering
-// deterministic.
-type retryHeap []pendingAttempt
+// retryKey is one queued attempt's place in the retry queue: its arrival
+// instant, its insertion sequence number and its slab slot.
+type retryKey struct {
+	at   simtime.Time
+	seq  int64 // tie-break: insertion order
+	slot int32
+}
 
-func (h retryHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at.Before(h[j].at)
+func (k *retryKey) before(o *retryKey) bool {
+	if k.at != o.at {
+		return k.at.Before(o.at)
 	}
-	return h[i].seq < h[j].seq
+	return k.seq < o.seq
 }
 
-func (h *retryHeap) push(p pendingAttempt) {
-	*h = append(*h, p)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+// retryQueue holds the expander's not-yet-emitted retries and hedges. The
+// attempts stay in a slab, each in one slot from push to pop, and a binary
+// min-heap of keys orders them on (at, seq): seq makes same-instant
+// ordering deterministic. Sifts move only keys, and a popped attempt's
+// slot goes on a free list for the next push, so the slab never grows past
+// the most attempts queued at once.
+type retryQueue struct {
+	keys []retryKey
+	slab []pendingAttempt
+	free []int32
+	seq  int64
+}
+
+func (q *retryQueue) len() int { return len(q.keys) }
+
+// next returns the arrival instant of the attempt pop would return.
+func (q *retryQueue) next() simtime.Time { return q.keys[0].at }
+
+// push queues a copy of the attempt at its arrival instant, after every
+// attempt already queued for that instant.
+func (q *retryQueue) push(p *pendingAttempt) {
+	slot := int32(len(q.slab))
+	if n := len(q.free); n > 0 {
+		slot, q.free = q.free[n-1], q.free[:n-1]
+		q.slab[slot] = *p
+	} else {
+		q.slab = append(q.slab, *p)
+	}
+	q.seq++
+	k := retryKey{at: p.req.At, seq: q.seq, slot: slot}
+	h := append(q.keys, k)
+	i := len(h) - 1
+	for i > 0 && k.before(&h[(i-1)/2]) {
+		h[i] = h[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	h[i] = k
+	q.keys = h
+}
+
+// pop moves the earliest queued attempt into dst and frees its slot.
+func (q *retryQueue) pop(dst *pendingAttempt) {
+	h := q.keys
+	*dst = q.slab[h[0].slot]
+	q.free = append(q.free, h[0].slot)
+	// Sift the last key down from the root within h[:n].
+	n := len(h) - 1
+	k, i := h[n], 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&k) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+		h[i] = h[c]
+		i = c
 	}
-}
-
-func (h *retryHeap) pop() pendingAttempt {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
-		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
+	h[i] = k
+	q.keys = h[:n]
 }
 
 // resExpander turns the scenario's client-request stream into the attempt
 // stream: primaries, error/timeout retries, and hedges, merged by arrival
 // instant, each routed and given its fault verdict. It runs at generation
 // time on one goroutine in both engines, for every non-flat scenario; with
-// no class policies the retry heap stays empty and it emits the client
+// no class policies the retry queue stays empty and it emits the client
 // stream one-for-one.
 type resExpander struct {
 	c      *Cluster
 	sr     *scenarioRun
-	heap   retryHeap
-	seq    int64
+	queue  retryQueue
 	nextID int64
 	emit   func(req workload.Request, shard, inst, cell int32, meta resAttempt)
 }
@@ -384,22 +410,21 @@ func (x *resExpander) condObservable(shard int, anchor int32, op workload.Op, at
 }
 
 // spawnRetry queues the chain's next attempt.
-func (x *resExpander) spawnRetry(p pendingAttempt, rc *resClass, delay simtime.Duration, cond bool, anchor int32) {
-	x.seq++
-	at := p.at.Add(delay)
-	req := p.req
-	req.At = at
-	x.heap.push(pendingAttempt{
-		at: at, seq: x.seq, req: req,
-		cell: p.cell, id: p.id,
+func (x *resExpander) spawnRetry(p *pendingAttempt, delay simtime.Duration, cond bool, anchor int32) {
+	next := pendingAttempt{
+		req: p.req, cell: p.cell, id: p.id,
 		attemptNo: p.attemptNo + 1, cond: cond, anchor: anchor,
-	})
+	}
+	next.req.At = p.req.At.Add(delay)
+	x.queue.push(&next)
 }
 
 // emitAttempt routes and emits one attempt, drawing its error verdict and
 // queueing its successors (retry, hedge). Returns without emitting when
 // the attempt was dropped at routing or its pinned hedge replica is down.
-func (x *resExpander) emitAttempt(p pendingAttempt) {
+// p must not point into the retry queue's slab, where the successors it
+// pushes may reuse or move p's slot.
+func (x *resExpander) emitAttempt(p *pendingAttempt) {
 	c, sr := x.c, x.sr
 	res := sr.res
 	rc := res.classFor(p.cell)
@@ -412,7 +437,7 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 		// matches the spawn-time one; a hedge whose replica is down is
 		// discarded, not re-homed. Hedges are immune to fault draws and
 		// spawn nothing: a pure speculative duplicate.
-		if sr.topo != nil && !sr.topo.upAt(c.chains[shard][p.hinst], p.at) {
+		if sr.topo != nil && !sr.topo.upAt(c.chains[shard][p.hinst], p.req.At) {
 			return
 		}
 		x.emit(p.req, int32(shard), p.hinst, p.cell, resAttempt{id: p.id, flags: attHedge})
@@ -421,7 +446,7 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 	inst := 0
 	if sr.topo != nil {
 		var up bool
-		if inst, up = c.routeInstance(sr.topo, shard, p.at); !up {
+		if inst, up = c.routeInstance(sr.topo, shard, p.req.At); !up {
 			// The whole chain is down: the client's connection is refused
 			// on the spot, and a remaining retry fires under the SAME
 			// condition this attempt carried — a speculative attempt stays
@@ -435,8 +460,8 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 				// consumable only if its landing stays observable; the
 				// rare unobservable tail ends the chain here, uncounted
 				// (the attempt never reaches a node that could count it).
-				if !p.cond || x.condObservable(shard, p.anchor, p.req.Op, p.at.Add(delay)) {
-					x.spawnRetry(p, rc, delay, p.cond, p.anchor)
+				if !p.cond || x.condObservable(shard, p.anchor, p.req.Op, p.req.At.Add(delay)) {
+					x.spawnRetry(p, delay, p.cond, p.anchor)
 				}
 			}
 			return
@@ -461,7 +486,7 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 		meta.flags |= attCond
 	}
 	err := false
-	if rate := res.faultRate(node, shard, p.at); rate > 0 && res.faults.Float64() < rate {
+	if rate := res.faultRate(node, shard, p.req.At); rate > 0 && res.faults.Float64() < rate {
 		err = true
 		meta.flags |= attErr
 	}
@@ -479,14 +504,14 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 	if rc.active && p.attemptNo < rc.retries {
 		if err {
 			delay := x.backoffDelay(rc, p.attemptNo+1)
-			if !p.cond || x.condObservable(shard, p.anchor, p.req.Op, p.at.Add(delay)) {
-				x.spawnRetry(p, rc, delay, p.cond, p.anchor)
+			if !p.cond || x.condObservable(shard, p.anchor, p.req.Op, p.req.At.Add(delay)) {
+				x.spawnRetry(p, delay, p.cond, p.anchor)
 				spawned = true
 			}
 		} else if rc.timeout > 0 {
 			delay := rc.timeout + x.backoffDelay(rc, p.attemptNo+1)
-			if x.condObservable(shard, int32(node), p.req.Op, p.at.Add(delay)) {
-				x.spawnRetry(p, rc, delay, true, int32(node))
+			if x.condObservable(shard, int32(node), p.req.Op, p.req.At.Add(delay)) {
+				x.spawnRetry(p, delay, true, int32(node))
 				spawned = true
 				meta.flags |= attTracked
 			}
@@ -508,7 +533,7 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 	// consult.
 	if rc.active && rc.hedge > 0 && p.attemptNo == 0 && !p.cond &&
 		p.req.Op == workload.OpRead && !err {
-		th := p.at.Add(rc.hedge)
+		th := p.req.At.Add(rc.hedge)
 		for hi := range c.chains[shard] {
 			if hi == inst {
 				continue
@@ -516,14 +541,12 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 			if sr.topo != nil && !sr.topo.upAt(c.chains[shard][hi], th) {
 				continue
 			}
-			x.seq++
-			hreq := p.req
-			hreq.At = th
-			x.heap.push(pendingAttempt{
-				at: th, seq: x.seq, req: hreq,
-				cell: p.cell, id: p.id,
+			h := pendingAttempt{
+				req: p.req, cell: p.cell, id: p.id,
 				attemptNo: p.attemptNo, hedge: true, hinst: int32(hi),
-			})
+			}
+			h.req.At = th
+			x.queue.push(&h)
 			break
 		}
 	}
@@ -531,29 +554,28 @@ func (x *resExpander) emitAttempt(p pendingAttempt) {
 }
 
 // generateAttempts is the generator of every scenario that is not a flat
-// load: it merges the scenario driver's client requests with the pending
-// retry/hedge heap in arrival order, emitting the full attempt stream.
+// load: it merges the scenario driver's client requests with the retry
+// queue in arrival order, emitting the full attempt stream.
 func (c *Cluster) generateAttempts(scn workload.Scenario, sr *scenarioRun,
 	emit func(req workload.Request, shard, inst, cell int32, meta resAttempt)) []workload.PhaseBound {
 	x := &resExpander{c: c, sr: sr, emit: emit}
 	d := workload.NewScenarioDriver(scn)
 	pending, ok := d.Next()
-	for ok || len(x.heap) > 0 {
+	var p pendingAttempt
+	for ok || x.queue.len() > 0 {
 		// Earliest instant wins; a retry beats a client request at the
 		// same instant (it entered the system first).
-		if len(x.heap) > 0 && (!ok || !x.heap[0].at.After(pending.At)) {
-			x.emitAttempt(x.heap.pop())
+		if x.queue.len() > 0 && (!ok || !x.queue.next().After(pending.At)) {
+			x.queue.pop(&p)
+			x.emitAttempt(&p)
 			continue
 		}
-		p := pendingAttempt{
-			at: pending.At, req: pending.Request,
-			cell: int32(sr.cellOff[pending.Phase] + pending.Class),
-		}
+		p = pendingAttempt{req: pending.Request, cell: int32(sr.cellOff[pending.Phase] + pending.Class)}
 		if sr.res.classFor(p.cell).active {
 			x.nextID++
 			p.id = x.nextID
 		}
-		x.emitAttempt(p)
+		x.emitAttempt(&p)
 		pending, ok = d.Next()
 	}
 	return d.Bounds()

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"cmp"
+	"math/rand/v2"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -507,4 +510,107 @@ func TestResilienceValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRetryQueueOrder checks the retry queue against a sorted oracle over
+// random pushes and pops crowded onto eight instants: every pop returns the
+// attempt the oracle puts first in (at, seq) order, arrival instant then
+// insertion order, and the slab never holds more slots than the most
+// attempts queued at once.
+func TestRetryQueueOrder(t *testing.T) {
+	type key struct {
+		at  simtime.Time
+		seq int64
+	}
+	byAtSeq := func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	}
+	rng := rand.New(rand.NewPCG(20, 1))
+	var (
+		q      retryQueue
+		oracle []key
+		seq    int64
+		peak   int
+		got    pendingAttempt
+	)
+	pop := func() {
+		slices.SortFunc(oracle, byAtSeq)
+		want := oracle[0]
+		oracle = oracle[1:]
+		q.pop(&got)
+		if got.id != want.seq || got.req.At != want.at {
+			t.Fatalf("popped attempt %d at %v, want %d at %v", got.id, got.req.At, want.seq, want.at)
+		}
+	}
+	for step := 0; step < 20_000; step++ {
+		// Blocks of 500 steps alternate between growing and draining the
+		// queue, so slots are freed and reused at many depths.
+		pushOdds := 3
+		if step/500%2 == 1 {
+			pushOdds = 7
+		}
+		if len(oracle) == 0 || rng.IntN(10) < pushOdds {
+			seq++
+			a := pendingAttempt{id: seq}
+			a.req.At = simtime.Time(rng.IntN(8))
+			q.push(&a)
+			oracle = append(oracle, key{a.req.At, seq})
+			peak = max(peak, len(oracle))
+		} else {
+			pop()
+		}
+		if q.len() != len(oracle) {
+			t.Fatalf("step %d: queue holds %d attempts, want %d", step, q.len(), len(oracle))
+		}
+		if len(q.slab) > peak {
+			t.Fatalf("step %d: slab has %d slots, but at most %d attempts were ever queued", step, len(q.slab), peak)
+		}
+	}
+	for len(oracle) > 0 {
+		pop()
+	}
+	if q.len() != 0 || len(q.free) != len(q.slab) {
+		t.Fatalf("drained queue holds %d keys with %d of %d slots free", q.len(), len(q.free), len(q.slab))
+	}
+}
+
+// BenchmarkGenerateAttempts times the attempt expander alone over the
+// committed brownout preset: generateAttempts into a sink that only counts,
+// with the cluster, resilience layer and run record built outside the
+// timer. It reports ns per emitted attempt.
+func BenchmarkGenerateAttempts(b *testing.B) {
+	data, err := os.ReadFile("../../examples/scenarios/brownout.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := ParseScenarioSpec(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := spec.Overrides.Apply(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Seed = spec.Scenario.Seed
+	scn := spec.Scenario
+	c := New(cfg)
+	defer c.Close()
+	attempts := 0
+	sink := func(workload.Request, int32, int32, int32, resAttempt) { attempts++ }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		topo, err := c.newTopology(scn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := c.newResilience(scn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sr := c.newScenarioRun(scn, topo, res)
+		b.StartTimer()
+		c.generateAttempts(scn, sr, sink)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
 }

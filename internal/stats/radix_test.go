@@ -160,41 +160,54 @@ func TestPercentileNaN(t *testing.T) {
 	}
 }
 
-// FuzzSortSamples checks sortSamples against slices.Sort, and merged runs
-// against the oracle recorder. The samples are the 8-byte words of raw
-// followed by n generated ones: width random bits shifted left by shift, so
+// fuzzSamples decodes a fuzz input into samples: the 8-byte words of raw
+// followed by n generated ones, width random bits shifted left by shift, so
 // the fuzzer can steer duplicates and which bytes differ. The sign bit is
-// cleared, as Record guarantees. The same samples are also split across 1–8
-// recorders, as many as the low three bits of raw's first byte say, and
-// merged by mergeNested. The seed corpus is in testdata/fuzz/FuzzSortSamples.
+// cleared, as Record guarantees.
+func fuzzSamples(raw []byte, seed uint64, n uint16, width, shift uint8) []time.Duration {
+	var xs []time.Duration
+	for ; len(raw) >= 8; raw = raw[8:] {
+		xs = append(xs, time.Duration(binary.LittleEndian.Uint64(raw)&math.MaxInt64))
+	}
+	mask := uint64(1)<<(width%64) - 1
+	state := seed
+	for i := 0; i < int(n%(1<<14)); i++ {
+		v := (splitmix64(&state) & mask) << (shift % 64)
+		xs = append(xs, time.Duration(v&math.MaxInt64))
+	}
+	return xs
+}
+
+// FuzzSortSamples checks sortSamples against slices.Sort on the samples
+// fuzzSamples decodes. The seed corpus is in testdata/fuzz/FuzzSortSamples.
 func FuzzSortSamples(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, n uint16, width, shift uint8) {
-		k := 1
-		if len(raw) > 0 {
-			k += int(raw[0] % 8)
-		}
-		var xs []time.Duration
-		for ; len(raw) >= 8; raw = raw[8:] {
-			xs = append(xs, time.Duration(binary.LittleEndian.Uint64(raw)&math.MaxInt64))
-		}
-		mask := uint64(1)<<(width%64) - 1
-		state := seed
-		for i := 0; i < int(n%(1<<14)); i++ {
-			v := (splitmix64(&state) & mask) << (shift % 64)
-			xs = append(xs, time.Duration(v&math.MaxInt64))
-		}
-		parts := make([][]time.Duration, k)
-		for j := range parts {
-			parts[j] = xs[len(xs)*j/k : len(xs)*(j+1)/k]
-		}
-		merged := mergeNested(parts) // records copies, before xs is sorted
+		xs := fuzzSamples(raw, seed, n, width, shift)
 		want := slices.Clone(xs)
 		slices.Sort(want)
 		sortSamples(xs)
 		if !slices.Equal(xs, want) {
 			t.Fatalf("sortSamples differs from slices.Sort on %d samples", len(xs))
 		}
-		assertMatchesOracle(t, merged, oracleRecorder(want))
+	})
+}
+
+// FuzzMergeRuns splits the samples fuzzSamples decodes across 1–8
+// recorders, as many as the low three bits of raw's first byte say, merges
+// them by mergeNested and checks every statistic of the result against the
+// oracle recorder. The seed corpus is in testdata/fuzz/FuzzMergeRuns.
+func FuzzMergeRuns(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, n uint16, width, shift uint8) {
+		k := 1
+		if len(raw) > 0 {
+			k += int(raw[0] % 8)
+		}
+		xs := fuzzSamples(raw, seed, n, width, shift)
+		parts := make([][]time.Duration, k)
+		for j := range parts {
+			parts[j] = xs[len(xs)*j/k : len(xs)*(j+1)/k]
+		}
+		assertMatchesOracle(t, mergeNested(parts), oracleRecorder(xs))
 	})
 }
 

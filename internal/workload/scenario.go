@@ -190,7 +190,7 @@ func (r Resilience) Validate() error {
 	if r.Backoff < 0 {
 		return fmt.Errorf("resilience Backoff must be >= 0 (got %v)", r.Backoff)
 	}
-	if r.Jitter < 0 || r.Jitter >= 1 {
+	if !(0 <= r.Jitter && r.Jitter < 1) { // NaN fails too
 		return fmt.Errorf("resilience Jitter must be in [0, 1) (got %v)", r.Jitter)
 	}
 	if r.Hedge < 0 || r.Hedge > maxSpan {
@@ -433,7 +433,7 @@ func (e Event) Validate() error {
 		}
 	case EventHealNode:
 	case EventFaultWindow:
-		if e.ErrorRate <= 0 || e.ErrorRate > 1 {
+		if !(0 < e.ErrorRate && e.ErrorRate <= 1) { // NaN fails too
 			return fmt.Errorf("fault-window ErrorRate must be in (0, 1] (got %v)", e.ErrorRate)
 		}
 		if e.Duration <= 0 {

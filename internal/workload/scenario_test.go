@@ -320,6 +320,12 @@ func TestScenarioValidateMessages(t *testing.T) {
 		{"policy off a kill", func(s *Scenario) {
 			s.Events = []Event{{Kind: EventPressureStop, Node: -1, Policy: KillDrop}}
 		}, "Policy applies only to kill-node"},
+		{"NaN jitter", func(s *Scenario) {
+			s.Phases[0].Classes[0].Resilience = &Resilience{Jitter: math.NaN()}
+		}, "Jitter must be in [0, 1)"},
+		{"NaN error rate", func(s *Scenario) {
+			s.Events = []Event{{Kind: EventFaultWindow, Node: 0, ErrorRate: math.NaN(), Duration: simtime.Millisecond}}
+		}, "ErrorRate must be in (0, 1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
