@@ -179,7 +179,8 @@ func fuzzSamples(raw []byte, seed uint64, n uint16, width, shift uint8) []time.D
 }
 
 // FuzzSortSamples checks sortSamples against slices.Sort on the samples
-// fuzzSamples decodes. The seed corpus is in testdata/fuzz/FuzzSortSamples.
+// fuzzSamples decodes. The seed corpus is in testdata/fuzz/FuzzSortSamples;
+// FuzzMergeRuns has the same seeds, so each seed goes through both checks.
 func FuzzSortSamples(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, n uint16, width, shift uint8) {
 		xs := fuzzSamples(raw, seed, n, width, shift)
@@ -195,7 +196,9 @@ func FuzzSortSamples(f *testing.F) {
 // FuzzMergeRuns splits the samples fuzzSamples decodes across 1–8
 // recorders, as many as the low three bits of raw's first byte say, merges
 // them by mergeNested and checks every statistic of the result against the
-// oracle recorder. The seed corpus is in testdata/fuzz/FuzzMergeRuns.
+// oracle recorder. The seed corpus is in testdata/fuzz/FuzzMergeRuns:
+// one-max-int64 merges seven empty recorders and one holding MaxInt64, and
+// the merged-* seeds split thousands of samples across 3, 6 and 8 runs.
 func FuzzMergeRuns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, n uint16, width, shift uint8) {
 		k := 1

@@ -92,12 +92,13 @@ func DefaultLoadConfig() LoadConfig {
 
 // Validate reports whether the configuration is well-formed. Every
 // violation names the offending field and the accepted range, so a CLI or
-// scenario loader can surface the message verbatim.
+// scenario loader can surface the message verbatim. Float ranges are
+// demanded as !(in range), so NaN is rejected.
 func (c LoadConfig) Validate() error {
 	if c.Requests <= 0 {
 		return fmt.Errorf("workload: Requests must be > 0 (got %d)", c.Requests)
 	}
-	if c.RatePerSec <= 0 {
+	if !(c.RatePerSec > 0) {
 		return fmt.Errorf("workload: RatePerSec must be > 0 (got %v)", c.RatePerSec)
 	}
 	if c.Keys <= 0 {
@@ -106,10 +107,10 @@ func (c LoadConfig) Validate() error {
 	if c.ValueBytes <= 0 {
 		return fmt.Errorf("workload: ValueBytes must be > 0 (got %d)", c.ValueBytes)
 	}
-	if c.ZipfS != 0 && c.ZipfS <= 1 {
+	if c.ZipfS != 0 && !(c.ZipfS > 1) {
 		return fmt.Errorf("workload: Zipf exponent must be > 1 (got %v); use 0 for uniform", c.ZipfS)
 	}
-	if c.ReadFraction < 0 || c.ReadFraction > 1 {
+	if !(0 <= c.ReadFraction && c.ReadFraction <= 1) {
 		return fmt.Errorf("workload: read fraction %v outside [0,1]", c.ReadFraction)
 	}
 	return nil

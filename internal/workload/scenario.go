@@ -73,11 +73,11 @@ func (r RateShape) Validate(dur simtime.Duration) error {
 		if dur <= 0 {
 			return fmt.Errorf("ramp shape needs a phase Duration as its domain")
 		}
-		if r.From <= 0 || r.To <= 0 {
+		if !(r.From > 0 && r.To > 0) {
 			return fmt.Errorf("ramp endpoints must be > 0 (got From=%v To=%v)", r.From, r.To)
 		}
 	case ShapeSpike:
-		if r.Factor <= 0 {
+		if !(r.Factor > 0) {
 			return fmt.Errorf("spike Factor must be > 0 (got %v)", r.Factor)
 		}
 		if r.At < 0 || r.Width <= 0 {
@@ -87,7 +87,7 @@ func (r RateShape) Validate(dur simtime.Duration) error {
 		if r.Period <= 0 {
 			return fmt.Errorf("diurnal Period must be > 0 (got %v)", r.Period)
 		}
-		if r.Amplitude < 0 || r.Amplitude >= 1 {
+		if !(0 <= r.Amplitude && r.Amplitude < 1) {
 			return fmt.Errorf("diurnal Amplitude must be in [0, 1) (got %v)", r.Amplitude)
 		}
 	default:
@@ -190,7 +190,7 @@ func (r Resilience) Validate() error {
 	if r.Backoff < 0 {
 		return fmt.Errorf("resilience Backoff must be >= 0 (got %v)", r.Backoff)
 	}
-	if !(0 <= r.Jitter && r.Jitter < 1) { // NaN fails too
+	if !(0 <= r.Jitter && r.Jitter < 1) {
 		return fmt.Errorf("resilience Jitter must be in [0, 1) (got %v)", r.Jitter)
 	}
 	if r.Hedge < 0 || r.Hedge > maxSpan {
@@ -428,12 +428,12 @@ func (e Event) Validate() error {
 			return fmt.Errorf("restore-node needs an explicit Node index (got %d)", e.Node)
 		}
 	case EventDegradeNode:
-		if e.Factor <= 1 {
+		if !(e.Factor > 1) {
 			return fmt.Errorf("degrade-node Factor must be > 1 (got %v; 1 is native speed)", e.Factor)
 		}
 	case EventHealNode:
 	case EventFaultWindow:
-		if !(0 < e.ErrorRate && e.ErrorRate <= 1) { // NaN fails too
+		if !(0 < e.ErrorRate && e.ErrorRate <= 1) {
 			return fmt.Errorf("fault-window ErrorRate must be in (0, 1] (got %v)", e.ErrorRate)
 		}
 		if e.Duration <= 0 {
@@ -591,10 +591,10 @@ type ShedPolicy struct {
 
 // Validate reports whether the policy is well-formed.
 func (p ShedPolicy) Validate() error {
-	if p.Step <= 0 || p.Step > 1 {
+	if !(0 < p.Step && p.Step <= 1) {
 		return fmt.Errorf("shed Step must be in (0, 1] (got %v)", p.Step)
 	}
-	if p.Max <= 0 || p.Max > 1 {
+	if !(0 < p.Max && p.Max <= 1) {
 		return fmt.Errorf("shed Max must be in (0, 1] (got %v)", p.Max)
 	}
 	if p.Step > p.Max {
@@ -621,10 +621,10 @@ type BatchPolicy struct {
 
 // Validate reports whether the policy is well-formed.
 func (p BatchPolicy) Validate() error {
-	if p.Step <= 0 || p.Step > 1 {
+	if !(0 < p.Step && p.Step <= 1) {
 		return fmt.Errorf("batch policy Step must be in (0, 1] (got %v)", p.Step)
 	}
-	if p.Min < 0 || p.Min >= 1 {
+	if !(0 <= p.Min && p.Min < 1) {
 		return fmt.Errorf("batch policy Min must be in [0, 1) (got %v)", p.Min)
 	}
 	return nil
@@ -644,7 +644,7 @@ type AllocatorPolicy struct {
 
 // Validate reports whether the policy is well-formed.
 func (p AllocatorPolicy) Validate() error {
-	if p.Conservative <= 0 {
+	if !(p.Conservative > 0) {
 		return fmt.Errorf("allocator policy Conservative must be > 0 (got %v)", p.Conservative)
 	}
 	return nil
@@ -663,10 +663,10 @@ type WatermarkPolicy struct {
 
 // Validate reports whether the policy is well-formed.
 func (p WatermarkPolicy) Validate() error {
-	if p.Step <= 0 {
+	if !(p.Step > 0) {
 		return fmt.Errorf("watermark policy Step must be > 0 (got %v)", p.Step)
 	}
-	if p.Max < 1+p.Step {
+	if !(p.Max >= 1+p.Step) {
 		return fmt.Errorf("watermark policy Max must be >= 1+Step (got Max=%v Step=%v)", p.Max, p.Step)
 	}
 	return nil
@@ -674,6 +674,8 @@ func (p WatermarkPolicy) Validate() error {
 
 // Validate reports whether the scenario is well-formed, locating every
 // violation by phase/class/event so the message is actionable verbatim.
+// Every float range here and in the nested Validate methods is demanded as
+// !(in range), so NaN, which fails every comparison, is rejected.
 func (s Scenario) Validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("scenario %q: needs at least one phase", s.Name)

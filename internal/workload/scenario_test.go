@@ -297,6 +297,13 @@ func TestRateShapes(t *testing.T) {
 // class and event index.
 func TestScenarioValidateMessages(t *testing.T) {
 	base := multiClassScenario()
+	nan := math.NaN()
+	policies := func(p Policies) func(*Scenario) {
+		return func(s *Scenario) {
+			s.SLO = &SLO{P99: simtime.Millisecond, Window: 10 * simtime.Millisecond}
+			s.Policies = &p
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Scenario)
@@ -321,11 +328,31 @@ func TestScenarioValidateMessages(t *testing.T) {
 			s.Events = []Event{{Kind: EventPressureStop, Node: -1, Policy: KillDrop}}
 		}, "Policy applies only to kill-node"},
 		{"NaN jitter", func(s *Scenario) {
-			s.Phases[0].Classes[0].Resilience = &Resilience{Jitter: math.NaN()}
+			s.Phases[0].Classes[0].Resilience = &Resilience{Jitter: nan}
 		}, "Jitter must be in [0, 1)"},
 		{"NaN error rate", func(s *Scenario) {
-			s.Events = []Event{{Kind: EventFaultWindow, Node: 0, ErrorRate: math.NaN(), Duration: simtime.Millisecond}}
+			s.Events = []Event{{Kind: EventFaultWindow, Node: 0, ErrorRate: nan, Duration: simtime.Millisecond}}
 		}, "ErrorRate must be in (0, 1]"},
+		{"NaN class rate", func(s *Scenario) { s.Phases[0].Classes[0].Rate = nan }, "RatePerSec must be > 0"},
+		{"NaN zipf", func(s *Scenario) { s.Phases[0].Classes[0].ZipfS = nan }, "Zipf exponent must be > 1"},
+		{"NaN read fraction", func(s *Scenario) { s.Phases[0].Classes[0].ReadFraction = nan }, "outside [0,1]"},
+		{"NaN ramp endpoint", func(s *Scenario) { s.Phases[1].Shape.To = nan }, "ramp endpoints must be > 0"},
+		{"NaN spike factor", func(s *Scenario) {
+			s.Phases[0].Shape = RateShape{Kind: ShapeSpike, Factor: nan, Width: simtime.Millisecond}
+		}, "spike Factor must be > 0"},
+		{"NaN diurnal amplitude", func(s *Scenario) {
+			s.Phases[0].Shape = RateShape{Kind: ShapeDiurnal, Period: simtime.Millisecond, Amplitude: nan}
+		}, "diurnal Amplitude must be in [0, 1)"},
+		{"NaN degrade factor", func(s *Scenario) {
+			s.Events = []Event{{Kind: EventDegradeNode, Node: 0, Factor: nan}}
+		}, "degrade-node Factor must be > 1"},
+		{"NaN shed step", policies(Policies{Shed: &ShedPolicy{Step: nan, Max: 0.5}}), "shed Step must be in (0, 1]"},
+		{"NaN shed max", policies(Policies{Shed: &ShedPolicy{Step: 0.1, Max: nan}}), "shed Max must be in (0, 1]"},
+		{"NaN batch step", policies(Policies{Batch: &BatchPolicy{Step: nan}}), "batch policy Step must be in (0, 1]"},
+		{"NaN batch min", policies(Policies{Batch: &BatchPolicy{Step: 0.5, Min: nan}}), "batch policy Min must be in [0, 1)"},
+		{"NaN allocator factor", policies(Policies{Allocator: &AllocatorPolicy{Conservative: nan}}), "Conservative must be > 0"},
+		{"NaN watermark step", policies(Policies{Watermark: &WatermarkPolicy{Step: nan, Max: 2}}), "watermark policy Step must be > 0"},
+		{"NaN watermark max", policies(Policies{Watermark: &WatermarkPolicy{Step: 0.1, Max: nan}}), "watermark policy Max must be >= 1+Step"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
