@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -35,16 +36,25 @@ func run() error {
 
 	total, err := parseSize(*totalFlag)
 	if err != nil {
-		return err
+		return fmt.Errorf("-total: %w", err)
 	}
 	mem, err := parseSize(*memFlag)
 	if err != nil {
-		return err
+		return fmt.Errorf("-mem: %w", err)
+	}
+	if *request <= 0 {
+		return fmt.Errorf("-request %d must be positive", *request)
+	}
+	if total < *request {
+		return fmt.Errorf("-total %d bytes is less than -request %d", total, *request)
 	}
 
 	cfg := hermes.DefaultNodeConfig()
 	cfg.Kernel.TotalMemory = mem
 	cfg.Kernel.Seed = *seed
+	if err := cfg.Kernel.Validate(); err != nil {
+		return fmt.Errorf("-mem: %w", err)
+	}
 	node := hermes.NewNode(cfg)
 
 	var pressure *hermes.Pressure
@@ -92,7 +102,8 @@ func run() error {
 
 func mb(v int64) float64 { return float64(v) / (1 << 20) }
 
-// parseSize parses "64MB", "1GB", "4096".
+// parseSize parses "64MB", "1GB", "4096", rejecting a byte count that
+// overflows int64.
 func parseSize(s string) (int64, error) {
 	u := strings.ToUpper(strings.TrimSpace(s))
 	mult := int64(1)
@@ -107,6 +118,9 @@ func parseSize(s string) (int64, error) {
 	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q: %w", s, err)
+	}
+	if n > math.MaxInt64/mult || n < math.MinInt64/mult {
+		return 0, fmt.Errorf("bad size %q: overflows int64 bytes", s)
 	}
 	return n * mult, nil
 }

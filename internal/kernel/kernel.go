@@ -228,8 +228,10 @@ func (k *Kernel) Scheduler() *simtime.Scheduler { return k.sched }
 // Disk returns the node's disk device.
 func (k *Kernel) Disk() *Disk { return k.disk }
 
-// Costs returns the cost table.
-func (k *Kernel) Costs() CostModel { return k.cfg.Costs }
+// Costs returns the kernel's cost table, borrowed read-only: the hot paths
+// read a field or two per call, and a pointer spares them copying the whole
+// table. Callers must not modify it.
+func (k *Kernel) Costs() *CostModel { return &k.cfg.Costs }
 
 // PageSize returns the page size in bytes.
 func (k *Kernel) PageSize() int64 { return k.cfg.PageSize }

@@ -72,7 +72,7 @@ func (k *Kernel) age(src, dst *lruList, n int64) simtime.Duration {
 func (k *Kernel) reclaimFile(at simtime.Time, n int64, direct bool) (int64, simtime.Duration) {
 	var freed int64
 	var cost simtime.Duration
-	costs := k.cfg.Costs
+	costs := &k.cfg.Costs
 	k.lru.inactiveFile.takeTail(n, func(sp span) {
 		f := sp.file
 		cost += simtime.Duration(sp.pages) * (costs.ReclaimScanPerPage + costs.FileDropPerPage)
@@ -114,7 +114,7 @@ func (k *Kernel) reclaimAnon(at simtime.Time, n int64, direct bool) (int64, simt
 	}
 	var freed int64
 	var cost simtime.Duration
-	costs := k.cfg.Costs
+	costs := &k.cfg.Costs
 	k.lru.inactiveAnon.takeTail(n, func(sp span) {
 		k.lastSwapOut = at
 		r := sp.region

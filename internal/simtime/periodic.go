@@ -10,9 +10,12 @@ package simtime
 // runs longer than the period, the next tick fires immediately after it
 // completes rather than stacking up.
 type PeriodicTask struct {
-	sched   *Scheduler
-	period  Duration
-	tick    func(now Time) Duration
+	sched  *Scheduler
+	period Duration
+	tick   func(now Time) Duration
+	// fire is p.run, bound once: a method value evaluated per Schedule
+	// would allocate a closure on every tick.
+	fire    func(*Scheduler)
 	event   *Event
 	stopped bool
 
@@ -34,7 +37,8 @@ func NewPeriodicTask(s *Scheduler, period Duration, tick func(now Time) Duration
 		panic("simtime: nil periodic task callback")
 	}
 	p := &PeriodicTask{sched: s, period: period, tick: tick}
-	p.event = s.ScheduleAfter(period, p.run)
+	p.fire = p.run
+	p.event = s.ScheduleAfter(period, p.fire)
 	return p
 }
 
@@ -60,7 +64,7 @@ func (p *PeriodicTask) run(s *Scheduler) {
 	if end := start.Add(busy); next < end {
 		next = end
 	}
-	p.event = s.Schedule(next, p.run)
+	p.event = s.Schedule(next, p.fire)
 }
 
 // Stop cancels the task. Safe to call multiple times.

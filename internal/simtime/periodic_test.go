@@ -72,3 +72,17 @@ func TestPeriodicTaskAccounting(t *testing.T) {
 		t.Fatalf("utilization = %v, want ~0.07", util)
 	}
 }
+
+// TestPeriodicTaskTickAllocs: a fired tick reschedules the task's bound
+// callback on a recycled event, so a running task allocates nothing.
+func TestPeriodicTaskTickAllocs(t *testing.T) {
+	s := NewScheduler()
+	p := NewPeriodicTask(s, 10, func(Time) Duration { return 1 })
+	defer p.Stop()
+	if allocs := testing.AllocsPerRun(100, func() { s.Advance(10) }); allocs != 0 {
+		t.Fatalf("%v allocations per tick, want 0", allocs)
+	}
+	if p.Ticks != 101 {
+		t.Fatalf("ticks = %d, want 101 (one per Advance of a period)", p.Ticks)
+	}
+}

@@ -72,6 +72,14 @@ func (r *Recorder) Record(d time.Duration) {
 	r.sum += d
 }
 
+// Grow makes room for n more raw samples, so the next n Records do not
+// reallocate. No-op in streaming mode.
+func (r *Recorder) Grow(n int) {
+	if r.hist == nil {
+		r.samples = slices.Grow(r.samples, n)
+	}
+}
+
 // Merge folds o's samples into r without re-recording them one by one.
 // Raw recorders share o's samples: Merge sorts them in place and keeps a
 // reference to them, and to every run o itself holds, as read-only sorted

@@ -30,6 +30,37 @@ func TestRecorderBasics(t *testing.T) {
 	if r.Total() != 60 {
 		t.Fatalf("total = %v", r.Total())
 	}
+
+	// Grow(n) presizes the raw samples: the next n Records write in place,
+	// and every statistic reads as it would without Grow.
+	const n = 5000
+	plain, grown := NewRecorder("x"), NewRecorder("x")
+	for _, rec := range []*Recorder{plain, grown} {
+		rec.Record(1)
+	}
+	grown.Grow(n)
+	c := cap(grown.samples)
+	if c < n+1 {
+		t.Fatalf("cap after Grow(%d) on 1 sample = %d, want at least %d", n, c, n+1)
+	}
+	rng := rand.New(rand.NewPCG(7, 8))
+	for i := 0; i < n; i++ {
+		d := time.Duration(rng.Int64N(int64(time.Millisecond)))
+		plain.Record(d)
+		grown.Record(d)
+	}
+	if got := cap(grown.samples); got != c {
+		t.Fatalf("%d Records after Grow(%d) reallocated: cap %d, was %d", n, n, got, c)
+	}
+	plain.Sort()
+	assertMatchesOracle(t, grown, plain)
+
+	// Streaming mode keeps no raw samples, so Grow is a no-op.
+	h := NewStreamingRecorder("h")
+	h.Grow(n)
+	if h.samples != nil || h.Count() != 0 {
+		t.Fatalf("streaming Grow kept %d raw slots and count %d, want none", cap(h.samples), h.Count())
+	}
 }
 
 // TestRecorderMergeSharesRuns pins raw Merge's sharing contract: the

@@ -73,6 +73,11 @@ func (c MicroBenchConfig) validate() error {
 	return nil
 }
 
+// microPresizeMax caps RunMicroBench's up-front sample reservation at the
+// paper's full-scale cell (1 GiB of 1 KiB requests); a longer stream grows
+// past it as it records.
+const microPresizeMax = 1 << 20
+
 // RunMicroBench drives the allocator with the configured request stream,
 // recording each request's malloc+write latency (the paper's "memory
 // allocation latency") into rec. The scheduler advances by each request's
@@ -82,6 +87,11 @@ func RunMicroBench(k *kernel.Kernel, a alloc.Allocator, cfg MicroBenchConfig, re
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
+	n := cfg.TotalBytes / cfg.RequestSize
+	if cfg.TotalBytes%cfg.RequestSize != 0 {
+		n++
+	}
+	rec.Grow(int(min(n, microPresizeMax)))
 	s := k.Scheduler()
 	var requested int64
 	for requested < cfg.TotalBytes {
