@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -109,6 +110,12 @@ func parseCores(s string) ([]int, error) {
 }
 
 func runScalingBench(cfg scalingBenchConfig) error {
+	if cfg.requests <= 0 {
+		return fmt.Errorf("-scaling-requests %d must be positive", cfg.requests)
+	}
+	if !(cfg.minSpeedup >= 0) || math.IsInf(cfg.minSpeedup, 1) {
+		return fmt.Errorf("-scaling-min-speedup %v must be a finite number >= 0 (0 = report only)", cfg.minSpeedup)
+	}
 	cores, err := parseCores(cfg.cores)
 	if err != nil {
 		return err

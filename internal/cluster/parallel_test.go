@@ -172,6 +172,26 @@ func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 	t.Run("flat", func(t *testing.T) {
 		seq, par := runBoth(t, testClusterConfig(AllocHermes), testLoad())
 		reportsEqual(t, seq, par)
+
+		// A skewed load sized from the partition's block: the busiest
+		// node's sub-stream spans at least three blocks and a node that
+		// hosts no shard gets none, so the one-core path crosses block
+		// boundaries and skips an empty node.
+		load := testLoad()
+		load.Requests = 5 * flatBlockReqs
+		seq, par = runBoth(t, testClusterConfig(AllocHermes), load)
+		busiest, idle := 0, false
+		for _, n := range seq.PerNode {
+			busiest = max(busiest, n.Latency.Count)
+			idle = idle || (n.Shards == 0 && n.Latency.Count == 0)
+		}
+		if busiest <= 2*flatBlockReqs {
+			t.Fatalf("busiest node served %d requests, want more than two %d-request blocks", busiest, flatBlockReqs)
+		}
+		if !idle {
+			t.Fatal("every node hosts a shard: the skewed load no longer leaves a node empty")
+		}
+		reportsEqual(t, seq, par)
 	})
 
 	t.Run("scenario", func(t *testing.T) {
@@ -186,4 +206,51 @@ func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 			t.Fatalf("single-core parallel scenario diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 		}
 	})
+}
+
+// TestFlatPartitionedHeapPerRequest: the one-core engine sizes its memory to
+// the stream. Between flat runs of 100k and 400k requests on the default
+// fleet, a request costs its 32-byte slot in a partition block plus, on raw
+// stats, one 8-byte sample in its shard digest and one in its node's wait
+// digest. Neither the partition nor a digest regrows by copying, so the
+// marginal heap stays within 64 B a request on raw stats and 48 B on
+// histograms. Short mode, which the race-detector run uses, skips it: a race
+// build allocates slices.Grow's temporary instead of eliding it, so every
+// presize counts twice and raw stats read about 72 B a request.
+func TestFlatPartitionedHeapPerRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: a race build counts every digest presize twice")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	heap := func(mode StatsMode, requests int64) int64 {
+		cfg := DefaultConfig()
+		cfg.Stats = mode
+		c := New(cfg)
+		defer c.Close()
+		load := workload.DefaultLoadConfig()
+		load.Requests = requests
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := c.Run(load)
+		runtime.ReadMemStats(&after)
+		if rep.Requests != requests {
+			t.Fatalf("%s: served %d requests, want %d", mode, rep.Requests, requests)
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	for _, tc := range []struct {
+		mode StatsMode
+		max  float64
+	}{
+		{StatsRaw, 64},
+		{StatsHistogram, 48},
+	} {
+		small, large := heap(tc.mode, 100_000), heap(tc.mode, 400_000)
+		per := float64(large-small) / 300_000
+		t.Logf("%s: %.1f B of Go heap per request (%d B at 100k, %d B at 400k)", tc.mode, per, small, large)
+		if per > tc.max {
+			t.Errorf("%s: %.1f B of Go heap per request, want at most %.0f", tc.mode, per, tc.max)
+		}
+	}
 }

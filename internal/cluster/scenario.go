@@ -683,6 +683,10 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 	return c.finishScenario(sr, scn, bounds)
 }
 
+// flatBlockReqs is runFlatPartitioned's partition unit: requests per block,
+// 256 KiB of 32-byte workload.Requests.
+const flatBlockReqs = 8192
+
 // runFlatPartitioned is the single-core engine for a flat single-phase load
 // with no topology or resilience schedule — every Cluster.Run on one core
 // lands here. It materializes the full per-node partition first, then
@@ -690,19 +694,22 @@ func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res
 // sub-streams and serve orders are exactly the pipeline's, so the report is
 // bit-identical and only the wall-clock shape differs. The routing metadata
 // is constant on this path (primary instance, the lone cell of a
-// single-cell run, empty resilience verdict), so the partition stores bare workload.Requests —
-// half the bytes of a routedScenarioReq — and the serving goroutine
-// re-derives the shard from the key, which is exactly how the generation
-// side routed it.
+// single-cell run, empty resilience verdict), so the partition stores bare
+// workload.Requests — half the bytes of a routedScenarioReq — and the
+// serving goroutine re-derives the shard from the key, which is exactly how
+// the generation side routed it.
+//
+// Memory is sized to the stream, not guessed. Each node's sub-stream goes
+// into a list of flatBlockReqs-request blocks allocated as it fills, so no
+// request is copied after it is written, a node hosting no shard allocates
+// nothing, and the slack is at most one partly filled block per node. The
+// same pass counts each shard's requests, so every primary instance digest
+// and node wait digest is presized to its exact count before serving and
+// no raw digest regrows.
 func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scenario) ScenarioReport {
 	sr := c.newScenarioRun(scn, nil, nil)
-	perNode := make([][]workload.Request, len(c.nodes))
-	if flat.Requests > 0 {
-		per := int(flat.Requests)/len(c.nodes) + len(c.nodes)
-		for i := range perNode {
-			perNode[i] = make([]workload.Request, 0, per)
-		}
-	}
+	perNode := make([][][]workload.Request, len(c.nodes))
+	perShard := make([]int, len(c.shards))
 	d := workload.NewLoadDriver(flat)
 	bound := workload.PhaseBound{Start: flat.Start, End: flat.Start}
 	for {
@@ -710,23 +717,37 @@ func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scen
 		if !ok {
 			break
 		}
-		n := c.chains[c.router.ShardForKey(req.Key)][0]
-		perNode[n] = append(perNode[n], req)
+		s := c.router.ShardForKey(req.Key)
+		perShard[s]++
+		n := c.chains[s][0]
+		blocks := perNode[n]
+		if len(blocks) == 0 || len(blocks[len(blocks)-1]) == flatBlockReqs {
+			blocks = append(blocks, make([]workload.Request, 0, flatBlockReqs))
+			perNode[n] = blocks
+		}
+		last := &blocks[len(blocks)-1]
+		*last = append(*last, req)
 		bound.End = req.At
 		bound.Requests++
 	}
+	for s, count := range perShard {
+		sr.shard[s][0].Grow(count)
+	}
 	var wg sync.WaitGroup
 	for i := range c.nodes {
-		reqs := perNode[i]
-		if len(reqs) == 0 {
+		blocks := perNode[i]
+		if len(blocks) == 0 {
 			continue
 		}
+		sr.nodes[i].wait.Grow((len(blocks)-1)*flatBlockReqs + len(blocks[len(blocks)-1]))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range reqs {
-				rr := &reqs[k]
-				c.serveScenario(sr, c.router.ShardForKey(rr.Key), 0, 0, *rr, resAttempt{})
+			for _, reqs := range blocks {
+				for k := range reqs {
+					rr := &reqs[k]
+					c.serveScenario(sr, c.router.ShardForKey(rr.Key), 0, 0, *rr, resAttempt{})
+				}
 			}
 			sr.nodes[i].sortDigests()
 		}()
