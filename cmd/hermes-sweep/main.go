@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	hermes "github.com/hermes-sim/hermes"
@@ -98,6 +99,12 @@ func runCampaign(path string, workers int, out string, scale float64, jsonOut, q
 }
 
 func runDiff(oldPath, newPath string, gatePct float64) error {
+	// A NaN gate makes every "delta > gate" test false, so it passes any
+	// regression, as +Inf passes any finite one; a gate is a noise
+	// allowance, so it cannot be negative.
+	if !(gatePct >= 0) || math.IsInf(gatePct, 1) {
+		return fmt.Errorf("-gate-pct %v must be a finite number >= 0", gatePct)
+	}
 	oldRep, err := readReport(oldPath)
 	if err != nil {
 		return err

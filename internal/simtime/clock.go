@@ -9,7 +9,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -55,49 +54,72 @@ func (t Time) String() string { return Duration(t).String() }
 // Event is a scheduled callback. The callback receives the Scheduler so it
 // can reschedule itself or schedule follow-up work.
 type Event struct {
-	at  Time
-	seq uint64
-	fn  func(*Scheduler)
+	at Time
+	fn func(*Scheduler)
 
-	// index is maintained by the heap; -1 once popped or cancelled.
+	// index is the event's slot in the queue; -1 once popped or cancelled.
 	index int
 }
 
 // At returns the instant the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
-type eventQueue []*Event
+// slot is one queue entry. It holds the event's (at, seq) key inline, so
+// sifts compare keys without dereferencing events.
+type slot struct {
+	at  Time
+	seq uint64
+	e   *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// before reports whether a fires before b: earlier instant first, then
+// earlier scheduling.
+func (a *slot) before(b *slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// eventQueue is a binary min-heap of slots ordered by (at, seq). Sifts
+// move a hole rather than swapping pairs, and re-index every slot they
+// move so Cancel can remove an event by its index.
+type eventQueue []slot
+
+// up stores x at index i or above it, moving later-firing parents down.
+func (q eventQueue) up(i int, x slot) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].e.index = i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = x
+	x.e.index = i
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// down stores x at index i or below it, moving earlier-firing children up,
+// and returns the index it stored x at.
+func (q eventQueue) down(i int, x slot) int {
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&x) {
+			break
+		}
+		q[i] = q[c]
+		q[i].e.index = i
+		i = c
+	}
+	q[i] = x
+	x.e.index = i
+	return i
 }
 
 // Scheduler owns the virtual clock and the pending-event queue. It is not
@@ -139,11 +161,29 @@ func (s *Scheduler) Schedule(at Time, fn func(*Scheduler)) *Event {
 		e = s.pool[n-1]
 		s.pool[n-1] = nil
 		s.pool = s.pool[:n-1]
-		e.at, e.seq, e.fn = at, s.seq, fn
+		e.at, e.fn = at, fn
 	} else {
-		e = &Event{at: at, seq: s.seq, fn: fn}
+		e = &Event{at: at, fn: fn}
 	}
-	heap.Push(&s.queue, e)
+	s.queue = append(s.queue, slot{})
+	s.queue.up(len(s.queue)-1, slot{at: at, seq: s.seq, e: e})
+	return e
+}
+
+// remove takes the event at index i off the queue and returns it. The last
+// slot fills the hole, sifting down, or up when i was mid-queue and the
+// moved slot fires before i's parent.
+func (s *Scheduler) remove(i int) *Event {
+	q := s.queue
+	e := q[i].e
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{}
+	q = q[:n]
+	s.queue = q
+	if i < n && q.down(i, last) == i {
+		q.up(i, last)
+	}
 	return e
 }
 
@@ -173,8 +213,7 @@ func (s *Scheduler) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
 		return
 	}
-	heap.Remove(&s.queue, e.index)
-	s.release(e)
+	s.release(s.remove(e.index))
 }
 
 // Pending returns the number of events waiting to fire.
@@ -195,7 +234,7 @@ func (s *Scheduler) PeekNext() (Time, bool) {
 // pattern) reuses the same hot object. Callers must have checked the queue
 // is non-empty and set s.firing.
 func (s *Scheduler) fireNext() {
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.remove(0)
 	s.now = e.at
 	fn := e.fn
 	s.release(e)
@@ -218,6 +257,12 @@ func (s *Scheduler) enterRun(op string) {
 // fired. Events may schedule further events; those are honoured if they fall
 // within the horizon. Calling RunUntil from inside an event callback panics.
 func (s *Scheduler) RunUntil(horizon Time) int {
+	// Nothing due: most calls between requests only move the clock. A past
+	// horizon or a call from a callback falls through to the panics below.
+	if horizon >= s.now && !s.firing && (len(s.queue) == 0 || s.queue[0].at > horizon) {
+		s.now = horizon
+		return 0
+	}
 	if horizon < s.now {
 		panic(fmt.Sprintf("simtime: RunUntil horizon %v before now %v", horizon, s.now))
 	}

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -122,29 +124,98 @@ func TestPeekNext(t *testing.T) {
 	}
 }
 
-// Property: for any set of event times, events fire in nondecreasing time
-// order and the count matches.
+// Property: under any mix of Schedule, Cancel and RunUntil steps, with
+// many events at equal instants, each RunUntil fires exactly the due events
+// in (at, seq) order, ties in scheduling order, at their own instants, and
+// returns their count; Pending matches the oracle after every step, and a
+// last run past every instant fires whatever is left.
 func TestSchedulerOrderProperty(t *testing.T) {
-	f := func(delays []uint16) bool {
+	type entry struct {
+		at Time
+		id int
+		e  *Event
+	}
+	f := func(ops []uint16) bool {
 		s := NewScheduler()
-		var fireTimes []Time
-		for _, d := range delays {
-			at := Time(d)
-			s.Schedule(at, func(s *Scheduler) { fireTimes = append(fireTimes, s.Now()) })
+		var pending []entry // the oracle: pending events in scheduling order
+		var fired []int
+		ok := true
+		run := func(horizon Time) bool {
+			due := slices.DeleteFunc(slices.Clone(pending), func(p entry) bool { return p.at > horizon })
+			slices.SortStableFunc(due, func(a, b entry) int { return cmp.Compare(a.at, b.at) })
+			want := make([]int, len(due))
+			for i, p := range due {
+				want[i] = p.id
+			}
+			pending = slices.DeleteFunc(pending, func(p entry) bool { return p.at <= horizon })
+			fired = fired[:0]
+			n := s.RunUntil(horizon)
+			return n == len(want) && slices.Equal(fired, want) && s.Now() == horizon
 		}
-		s.RunUntil(MaxTime - 1)
-		if len(fireTimes) != len(delays) {
-			return false
-		}
-		for i := 1; i < len(fireTimes); i++ {
-			if fireTimes[i] < fireTimes[i-1] {
+		for id, op := range ops {
+			arg := int(op >> 3)
+			switch op & 7 {
+			case 0, 1, 2, 3, 4: // schedule up to 15 ns ahead, so instants tie often
+				at := s.Now().Add(Duration(arg % 16))
+				e := s.Schedule(at, func(s *Scheduler) {
+					if s.Now() != at {
+						ok = false
+					}
+					fired = append(fired, id)
+				})
+				pending = append(pending, entry{at, id, e})
+			case 5, 6: // cancel any pending event, often from mid-queue
+				if len(pending) > 0 {
+					k := arg % len(pending)
+					s.Cancel(pending[k].e)
+					pending = slices.Delete(pending, k, k+1)
+				}
+			default: // run up to 7 ns ahead
+				if !run(s.Now().Add(Duration(arg % 8))) {
+					return false
+				}
+			}
+			if s.Pending() != len(pending) {
 				return false
 			}
 		}
-		return true
+		return run(s.Now().Add(16)) && s.Pending() == 0 && ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunUntilPastHorizonPanics: the clock never moves backwards, whether or
+// not an event is pending, and a rejected call leaves the clock and queue
+// as they were.
+func TestRunUntilPastHorizonPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		call func(*Scheduler)
+	}{
+		{"RunUntil(now-1)", func(s *Scheduler) { s.RunUntil(s.Now() - 1) }},
+		{"Advance(-1)", func(s *Scheduler) { s.Advance(-1) }},
+	} {
+		for _, withEvent := range []bool{false, true} {
+			s := NewScheduler()
+			s.RunUntil(100)
+			if withEvent {
+				s.Schedule(200, func(*Scheduler) {})
+			}
+			pending := s.Pending()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with %d pending must panic", c.name, pending)
+					}
+				}()
+				c.call(s)
+			}()
+			if s.Now() != 100 || s.Pending() != pending {
+				t.Errorf("%s with %d pending: now %v, pending %d; want 100ns, %d", c.name, pending, s.Now(), s.Pending(), pending)
+			}
+		}
 	}
 }
 
@@ -274,11 +345,42 @@ func TestDrainMatchesRunUntilOrdering(t *testing.T) {
 }
 
 func BenchmarkScheduleFire(b *testing.B) {
-	s := NewScheduler()
-	fn := func(*Scheduler) {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.ScheduleAfter(10, fn)
+	// single: one event on an empty queue, scheduled and fired per op.
+	b.Run("single", func(b *testing.B) {
+		s := NewScheduler()
+		fn := func(*Scheduler) {}
+		s.ScheduleAfter(10, fn) // fill the pool and the queue's array once
 		s.Advance(10)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.ScheduleAfter(10, fn)
+			s.Advance(10)
+		}
+	})
+	// node: the periodic tasks of one coloc-hermes-8n node with empty tick
+	// bodies (four 2 ms Hermes management threads, kswapd's 0.5 ms scan,
+	// two 100 ms daemons and a 500 ms refresh), stepped like a request's
+	// serve: RunUntil to the next arrival, then Advance by a service time.
+	// Most steps have nothing due.
+	b.Run("node", func(b *testing.B) {
+		s := NewScheduler()
+		idle := func(Time) Duration { return 0 }
+		for _, p := range []Duration{
+			2 * Millisecond, 2 * Millisecond, 2 * Millisecond, 2 * Millisecond,
+			500 * Microsecond, 100 * Millisecond, 100 * Millisecond, 500 * Millisecond,
+		} {
+			NewPeriodicTask(s, p, idle)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		fired := 0
+		for i := 0; i < b.N; i++ {
+			fired += s.RunUntil(s.Now().Add(150 * Microsecond))
+			fired += s.Advance(10 * Microsecond)
+		}
+		if fired > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
+		}
+	})
 }
