@@ -121,6 +121,12 @@ func run() error {
 		if *pressure == "file" {
 			kind = hermes.PressureFile
 		}
+		// Checked in MB, where neither side can overflow: at or above the
+		// node's memory the fill has nothing to consume and the run would
+		// report no pressure at all.
+		if *freeMB <= 0 || *freeMB >= *memGB<<10 {
+			return fmt.Errorf("-free-mb %d must be > 0 and below the node's %d MB (-mem-gb %d)", *freeMB, *memGB<<10, *memGB)
+		}
 		p := hermes.DefaultPressureConfig(kind)
 		p.FreeBytes = *freeMB << 20
 		cfg.Pressure = &p

@@ -152,6 +152,45 @@ func TestCLIRejectsBadMemGB(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsBadFreeMB: under -pressure anon or file, a residual free
+// target of zero or below, one whose byte count would overflow, or one at
+// or above the node's memory (which leaves the fill nothing to consume)
+// exits 1 with a one-line field-named error instead of a byte-count
+// message, a wrapped target or a silently unpressured run.
+func TestCLIRejectsBadFreeMB(t *testing.T) {
+	bin := buildCLI(t)
+	for _, tc := range []struct{ pressure, freeMB, memGB, want string }{
+		{"anon", "17592186044417", "8", "-free-mb 17592186044417 must be > 0 and below the node's 8192 MB (-mem-gb 8)"},
+		{"file", "17592186044417", "8", "-free-mb 17592186044417 must be > 0"},
+		{"anon", "-5", "8", "-free-mb -5 must be > 0"},
+		{"anon", "0", "8", "-free-mb 0 must be > 0"},
+		{"anon", "5000", "1", "-free-mb 5000 must be > 0 and below the node's 1024 MB (-mem-gb 1)"},
+		{"file", "1024", "1", "-free-mb 1024 must be > 0 and below the node's 1024 MB"},
+	} {
+		t.Run(tc.pressure+"/"+tc.freeMB, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, "-pressure", tc.pressure, "-free-mb", tc.freeMB, "-mem-gb", tc.memGB,
+				"-nodes", "1", "-shards", "1", "-requests", "10", "-allocators", "glibc")
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			exit, ok := err.(*exec.ExitError)
+			if !ok || exit.ExitCode() != 1 {
+				t.Fatalf("-free-mb %s: got %v, want exit 1", tc.freeMB, err)
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "hermes-cluster: -free-mb ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.want) {
+				t.Fatalf("-free-mb %s: stderr %q, want one hermes-cluster line containing %q", tc.freeMB, msg, tc.want)
+			}
+		})
+	}
+	// The default residual buffer still runs under pressure.
+	out, err := exec.Command(bin, "-pressure", "anon", "-free-mb", "300", "-mem-gb", "1",
+		"-nodes", "1", "-shards", "1", "-requests", "10", "-allocators", "glibc").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "pressure=anon") {
+		t.Fatalf("-free-mb 300: %v\n%s", err, out)
+	}
+}
+
 // buildCLI builds the real binary into a temp dir; short mode skips the
 // tests that need it.
 func buildCLI(t *testing.T) string {

@@ -35,6 +35,10 @@ func main() {
 		return
 	}
 
+	if *seconds <= 0 {
+		fmt.Fprintf(os.Stderr, "hermes-monitor: -seconds must be > 0 (got %d)\n", *seconds)
+		os.Exit(1)
+	}
 	cfg := hermes.DefaultNodeConfig()
 	cfg.Kernel.TotalMemory = 8 << 30
 	cfg.Kernel.SwapBytes = 8 << 30

@@ -210,13 +210,15 @@ func TestParallelSingleCoreMatchesSequential(t *testing.T) {
 
 // TestFlatPartitionedHeapPerRequest: the one-core engine sizes its memory to
 // the stream. Between flat runs of 100k and 400k requests on the default
-// fleet, a request costs its 32-byte slot in a partition block plus, on raw
-// stats, one 8-byte sample in its shard digest and one in its node's wait
-// digest. Neither the partition nor a digest regrows by copying, so the
-// marginal heap stays within 64 B a request on raw stats and 48 B on
+// fleet, a request costs one 32-byte request and one 8-byte latency; a zero
+// wait costs nothing. The request sits in a partition block and, on raw
+// stats, the latency in its shard digest, presized to its exact count; the
+// node's wait digest counts the zero waits and stores only the queued ones.
+// Neither the partition nor a latency digest regrows by copying, so the
+// marginal heap stays within 52 B a request on raw stats and 48 B on
 // histograms. Short mode, which the race-detector run uses, skips it: a race
 // build allocates slices.Grow's temporary instead of eliding it, so every
-// presize counts twice and raw stats read about 72 B a request.
+// presize counts twice.
 func TestFlatPartitionedHeapPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: a race build counts every digest presize twice")
@@ -243,7 +245,7 @@ func TestFlatPartitionedHeapPerRequest(t *testing.T) {
 		mode StatsMode
 		max  float64
 	}{
-		{StatsRaw, 64},
+		{StatsRaw, 52},
 		{StatsHistogram, 48},
 	} {
 		small, large := heap(tc.mode, 100_000), heap(tc.mode, 400_000)

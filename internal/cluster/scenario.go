@@ -704,8 +704,10 @@ const flatBlockReqs = 8192
 // request is copied after it is written, a node hosting no shard allocates
 // nothing, and the slack is at most one partly filled block per node. The
 // same pass counts each shard's requests, so every primary instance digest
-// and node wait digest is presized to its exact count before serving and
-// no raw digest regrows.
+// is presized to its exact count before serving and never regrows: its
+// samples are latencies, never zero. Node wait digests are not presized:
+// most requests find their node idle, and a raw digest counts those zero
+// waits without storing them, so it grows only with the queued ones.
 func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scenario) ScenarioReport {
 	sr := c.newScenarioRun(scn, nil, nil)
 	perNode := make([][][]workload.Request, len(c.nodes))
@@ -739,7 +741,6 @@ func (c *Cluster) runFlatPartitioned(flat workload.LoadConfig, scn workload.Scen
 		if len(blocks) == 0 {
 			continue
 		}
-		sr.nodes[i].wait.Grow((len(blocks)-1)*flatBlockReqs + len(blocks[len(blocks)-1]))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -11,15 +11,18 @@ import (
 	"time"
 )
 
-// oracleRecorder is a raw recorder over the same samples as r, sorted by
-// slices.Sort instead of sortSamples. Its statistics are the expected ones.
+// oracleRecorder is a raw recorder holding a slices.Sort-sorted copy of
+// every sample, zeros included, and their sum: it bypasses Record, so its
+// statistics read the full sorted list instead of counted zeros and
+// sortSamples' order. They are the expected ones.
 func oracleRecorder(samples []time.Duration) *Recorder {
 	o := NewRecorder("oracle")
-	for _, d := range samples {
-		o.Record(d)
-	}
+	o.samples = slices.Clone(samples)
 	slices.Sort(o.samples)
 	o.sorted = true
+	for _, d := range samples {
+		o.sum += d
+	}
 	return o
 }
 
@@ -197,8 +200,11 @@ func FuzzSortSamples(f *testing.F) {
 // recorders, as many as the low three bits of raw's first byte say, merges
 // them by mergeNested and checks every statistic of the result against the
 // oracle recorder. The seed corpus is in testdata/fuzz/FuzzMergeRuns:
-// one-max-int64 merges seven empty recorders and one holding MaxInt64, and
-// the merged-* seeds split thousands of samples across 3, 6 and 8 runs.
+// one-max-int64 merges seven empty recorders and one holding MaxInt64, the
+// merged-* seeds split thousands of samples across 3, 6 and 8 runs, and
+// the zero-heavy seeds split 4,000 zeros (all-zero-8-runs) and 512 samples
+// 96.5% zero, like a flat-8n node's queue waits (zero-97pct-8-runs),
+// across 8 runs.
 func FuzzMergeRuns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, n uint16, width, shift uint8) {
 		k := 1
@@ -245,7 +251,10 @@ var summarySink Summary
 // (2M/8) and cluster (2M) digest sizes. The runs=128 case is flat-8n's
 // cluster digest as finish builds it: 128 sorted shard runs of 15,625
 // samples merged into one recorder, so Summarize selects across the runs
-// instead of sorting.
+// instead of sorting. The wait case is one flat-8n node's queue-wait
+// digest: 250,000 samples, 97% of them zero, recorded through Record into
+// a fresh recorder each iteration, so the zeros take the counted path and
+// the timing and B/op cover recording as well as the sort.
 func BenchmarkRecorderSummarize(b *testing.B) {
 	exp := func(rng *rand.Rand, n int) []time.Duration {
 		xs := make([]time.Duration, n)
@@ -272,6 +281,23 @@ func BenchmarkRecorderSummarize(b *testing.B) {
 			}
 		})
 	}
+	b.Run("wait,n=250000", func(b *testing.B) {
+		rng := rand.New(rand.NewPCG(9, 97))
+		src := exp(rng, 250_000)
+		for i := range src {
+			if rng.IntN(100) < 97 {
+				src[i] = 0
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := NewRecorder("wait")
+			for _, d := range src {
+				r.Record(d)
+			}
+			summarySink = r.Summarize()
+		}
+	})
 	b.Run("runs=128", func(b *testing.B) {
 		rng := rand.New(rand.NewPCG(9, 128))
 		shards := make([]*Recorder, 128)

@@ -18,6 +18,10 @@ import (
 // samples. A raw recorder's statistics cover its own samples plus the
 // sorted runs Merge shared into it; each statistic is an exact order
 // statistic selected across them, the one sorting their union would give.
+// Zero samples are counted, not stored: samples are never negative, so the
+// zeros are exactly the smallest order statistics of the union, and a
+// queue-wait digest whose requests mostly found their node idle costs
+// memory and sort time only for its non-zero waits.
 //
 // Streaming mode (NewStreamingRecorder) digests samples into a log-bucketed
 // Histogram: O(1) Record, memory bounded by the bucket ceiling regardless
@@ -31,6 +35,7 @@ type Recorder struct {
 	// merged is their total length.
 	runs   [][]time.Duration
 	merged int
+	zeros  int // zero samples recorded or merged into r, none of them stored
 	sum    time.Duration
 	hist   *Histogram // non-nil in streaming mode
 }
@@ -67,13 +72,17 @@ func (r *Recorder) Record(d time.Duration) {
 		r.hist.Record(d)
 		return
 	}
+	if d == 0 {
+		r.zeros++
+		return
+	}
 	r.samples = append(r.samples, d)
 	r.sorted = false
 	r.sum += d
 }
 
-// Grow makes room for n more raw samples, so the next n Records do not
-// reallocate. No-op in streaming mode.
+// Grow makes room for n more non-zero raw samples, so the next n Records
+// of them do not reallocate; zeros take no room. No-op in streaming mode.
 func (r *Recorder) Grow(n int) {
 	if r.hist == nil {
 		r.samples = slices.Grow(r.samples, n)
@@ -83,12 +92,12 @@ func (r *Recorder) Grow(n int) {
 // Merge folds o's samples into r without re-recording them one by one.
 // Raw recorders share o's samples: Merge sorts them in place and keeps a
 // reference to them, and to every run o itself holds, as read-only sorted
-// runs, so nothing is copied. o's slice is clipped to its length first, so
-// o's later Records reallocate instead of writing into, or re-sorting, a
-// run r reads. Streaming recorders add bucket counts in O(buckets). Cluster
-// runs use it to fold run-local digests into shard, node and cluster
-// rollups. Both recorders must be in the same mode; o's statistics are
-// unchanged.
+// runs, so nothing is copied, and it adds o's zero count to r's. o's slice
+// is clipped to its length first, so o's later Records reallocate instead
+// of writing into, or re-sorting, a run r reads. Streaming recorders add
+// bucket counts in O(buckets). Cluster runs use it to fold run-local
+// digests into shard, node and cluster rollups. Both recorders must be in
+// the same mode; o's statistics are unchanged.
 func (r *Recorder) Merge(o *Recorder) {
 	if o == nil {
 		return
@@ -106,7 +115,8 @@ func (r *Recorder) Merge(o *Recorder) {
 		r.runs = append(r.runs, o.samples)
 	}
 	r.runs = append(r.runs, o.runs...)
-	r.merged += o.Count()
+	r.merged += len(o.samples) + o.merged
+	r.zeros += o.zeros
 	r.sum += o.sum
 }
 
@@ -125,7 +135,7 @@ func (r *Recorder) Count() int {
 	if r.hist != nil {
 		return int(r.hist.Count())
 	}
-	return len(r.samples) + r.merged
+	return len(r.samples) + r.merged + r.zeros
 }
 
 // Mean returns the average sample, or 0 when empty.
@@ -154,13 +164,19 @@ func (r *Recorder) ensureSorted() {
 }
 
 // nth returns the i-th smallest raw sample (0 ≤ i < Count), the element
-// sorting the union of r's samples and runs would put at index i. With one
-// non-empty view it indexes it. With several it bisects on the value for
-// the smallest v with more than i samples ≤ v, counting each sorted view by
+// sorting the union of r's samples, runs and counted zeros would put at
+// index i. The zeros come first, so below r.zeros it is 0; above, it
+// selects i − r.zeros among the stored samples. With one non-empty stored
+// view it indexes it. With several it bisects on the value for the
+// smallest v with more than i samples ≤ v, counting each sorted view by
 // binary search. Both ends of the bracket are samples: each step snaps the
 // end it moves to the nearest sample on its side of the midpoint, so it
 // halves the range and drops at least one distinct value.
 func (r *Recorder) nth(i int) time.Duration {
+	if i < r.zeros {
+		return 0
+	}
+	i -= r.zeros
 	r.ensureSorted()
 	if len(r.runs) == 0 {
 		return r.samples[i]
@@ -168,7 +184,7 @@ func (r *Recorder) nth(i int) time.Duration {
 	if len(r.samples) == 0 && len(r.runs) == 1 {
 		return r.runs[0][i]
 	}
-	lo, hi := r.Min(), r.Max()
+	lo, hi := r.minStored(), r.Max()
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		n, below, above := 0, lo, hi
@@ -261,9 +277,15 @@ func (r *Recorder) Min() time.Duration {
 	if r.hist != nil {
 		return r.hist.Min()
 	}
-	if r.Count() == 0 {
+	if r.zeros > 0 || r.Count() == 0 {
 		return 0
 	}
+	return r.minStored()
+}
+
+// minStored returns the smallest stored raw sample across r's samples and
+// runs, at least one of which must be non-empty.
+func (r *Recorder) minStored() time.Duration {
 	r.ensureSorted()
 	m := time.Duration(math.MaxInt64)
 	if len(r.samples) > 0 {
@@ -287,6 +309,9 @@ func (r *Recorder) CountAbove(d time.Duration) int64 {
 	n := r.Count() - atMost(r.samples, d)
 	for _, run := range r.runs {
 		n -= atMost(run, d)
+	}
+	if d >= 0 {
+		n -= r.zeros
 	}
 	return int64(n)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,8 +82,10 @@ func TestRecorderMergeSharesRuns(t *testing.T) {
 	a.Merge(b)
 	x := a.Percentile(90)
 	sum, cdf, above := a.Summarize(), a.CDF(100), a.CountAbove(x)
+	// One zero, which b only counts, and nine stored samples, which land in
+	// the spare capacity unless Merge clipped it.
 	for i := 0; i < 10; i++ {
-		b.Record(0)
+		b.Record(time.Duration(i))
 	}
 	_ = b.Percentile(99) // re-sorts b
 	if got := a.Summarize(); got != sum {
@@ -118,6 +121,114 @@ func TestRecorderMergeSharesRuns(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Fatalf("merging 8×100k samples and summarizing allocated %d B, want < 64 KiB", got)
+	}
+}
+
+// TestRecorderZeroSamples: a raw recorder counts its zero samples instead
+// of storing them, and every statistic still reads as if the zeros were
+// sorted into the union. Each case builds a recorder and the samples it
+// saw, which the slices.Sort oracle stores zeros and all.
+func TestRecorderZeroSamples(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 97))
+	// gen returns n samples: zeroPct percent of them zero, the rest in
+	// [1, maxNS] ns.
+	gen := func(n, zeroPct int, maxNS int64) []time.Duration {
+		xs := make([]time.Duration, n)
+		for i := range xs {
+			if rng.IntN(100) >= zeroPct {
+				xs[i] = time.Duration(1 + rng.Int64N(maxNS))
+			}
+		}
+		return xs
+	}
+	record := func(r *Recorder, xs []time.Duration) *Recorder {
+		for _, d := range xs {
+			r.Record(d)
+		}
+		return r
+	}
+	const ms = int64(time.Millisecond)
+	cases := []struct {
+		name  string
+		build func() (*Recorder, []time.Duration)
+	}{
+		{"all-zero", func() (*Recorder, []time.Duration) {
+			xs := make([]time.Duration, 3000)
+			return record(NewRecorder("r"), xs), xs
+		}},
+		{"one-zero", func() (*Recorder, []time.Duration) {
+			xs := gen(5000, 0, ms)
+			xs[2500] = 0
+			return record(NewRecorder("r"), xs), xs
+		}},
+		{"zeros-with-ties", func() (*Recorder, []time.Duration) {
+			xs := gen(5000, 60, 3)
+			return record(NewRecorder("r"), xs), xs
+		}},
+		{"zeros-only-in-merged-sources", func() (*Recorder, []time.Duration) {
+			all := gen(2000, 0, ms)
+			r := record(NewRecorder("r"), all)
+			for j := 0; j < 3; j++ {
+				part := gen(1000, 97, ms)
+				r.Merge(record(NewRecorder("src"), part))
+				all = append(all, part...)
+			}
+			return r, all
+		}},
+		{"nested-merges-with-all-zero-parts", func() (*Recorder, []time.Duration) {
+			parts := [][]time.Duration{
+				gen(1000, 97, ms), make([]time.Duration, 500), gen(800, 0, ms), make([]time.Duration, 1),
+				make([]time.Duration, 300), gen(700, 50, ms), make([]time.Duration, 200),
+			}
+			return mergeNested(parts), slices.Concat(parts...)
+		}},
+		{"merged-then-records-zeros", func() (*Recorder, []time.Duration) {
+			src, own := gen(2000, 90, ms), gen(1500, 80, ms)
+			r := NewRecorder("r")
+			r.Merge(record(NewRecorder("src"), src))
+			return record(r, own), slices.Concat(src, own)
+		}},
+		{"sort-before-and-after-merge", func() (*Recorder, []time.Duration) {
+			a, b, c := gen(2000, 70, ms), gen(2000, 95, ms), gen(1000, 50, ms)
+			r := record(NewRecorder("r"), a)
+			r.Sort()
+			r.Merge(record(NewRecorder("src"), b))
+			r.Sort()
+			record(r, c)
+			return r, slices.Concat(a, b, c)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, all := tc.build()
+			o := oracleRecorder(all)
+			assertMatchesOracle(t, r, o)
+			if got, want := r.Min(), o.Min(); got != want {
+				t.Fatalf("Min = %v, want %v", got, want)
+			}
+			if got, want := r.CountAbove(-1), int64(r.Count()); got != want {
+				t.Fatalf("CountAbove(-1) = %d, want Count %d", got, want)
+			}
+		})
+	}
+}
+
+// TestRecorderZeroSamplesNotStored: zeros cost a raw recorder no memory, so
+// recording a million of them allocates nothing and keeps no slot.
+func TestRecorderZeroSamplesNotStored(t *testing.T) {
+	const n = 1_000_000
+	r := NewRecorder("wait")
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			r.Record(0)
+		}
+	})
+	if allocs != 0 || cap(r.samples) != 0 {
+		t.Fatalf("recording %d zeros allocated %v times and kept %d slots, want none", n, allocs, cap(r.samples))
+	}
+	// AllocsPerRun calls the function twice: a warm-up, then the measured run.
+	if got := r.Count(); got != 2*n || r.Max() != 0 {
+		t.Fatalf("Count = %d, Max = %v; want %d, 0", got, r.Max(), 2*n)
 	}
 }
 
