@@ -246,9 +246,9 @@ func (c *Cluster) newResilience(scn workload.Scenario) (*resilience, error) {
 	return r, nil
 }
 
-// The per-node SLO controller that used to live here (shedCtl) grew into
-// the adaptive control plane: see controlplane.go. The shed action keeps
-// this file's original step rule, stream id and draw sequence.
+// Load shedding is the adaptive control plane's shed action
+// (controlplane.go). Its step rule, stream id and draw sequence must not
+// change: scenarios that declare only a shed policy replay bit-for-bit.
 
 // resAttempt is the resilience metadata riding with one emitted attempt.
 // The zero value marks a request outside the resilience layer: an attempt

@@ -597,9 +597,10 @@ const (
 )
 
 // scenarioChunk is one pipeline buffer: a fixed-size block of routed
-// requests. Fixed blocks replace the old whole-run per-node partition
-// slices, whose append-regrowth memmoves and O(requests) footprint
-// serialized the run on the generation side.
+// requests. Fixed blocks never regrow and bound the pipeline's footprint
+// whatever the run's length; per-node slices of the whole run would pay
+// append-regrowth memmoves and an O(requests) footprint on the generation
+// side, which serializes the run.
 type scenarioChunk struct {
 	n    int
 	reqs [scenarioChunkReqs]routedScenarioReq
@@ -613,11 +614,10 @@ type scenarioChunk struct {
 // SERVING node: failover hands the request to the replica's goroutine,
 // preserving arrival order within every node — which is all a node can
 // observe — so each node consumes the identical sub-stream in the identical
-// order as the old materialize-then-serve engine, and the report stays
-// bit-identical to the sequential engine's. Chunk handoff over a channel
-// also gives the happens-before edge that makes generation-side state
-// (e.g. migration manifests filled by diverted writes) visible to the
-// serving goroutine, exactly as the old full-partition barrier did.
+// order as the sequential engine, and the report stays bit-identical to
+// it. Chunk handoff over a channel also gives the happens-before edge that
+// makes generation-side state (e.g. migration manifests filled by diverted
+// writes) visible to the serving goroutine before it serves the chunk.
 func (c *Cluster) runScenarioParallel(scn workload.Scenario, topo *topology, res *resilience) ScenarioReport {
 	if runtime.GOMAXPROCS(0) == 1 && topo == nil && res == nil {
 		// On one core the pipeline cannot overlap anything; what decides a

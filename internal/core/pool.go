@@ -74,32 +74,18 @@ func (p *segregatedPool) takeFit(reqPages int64) (poolChunk, bool) {
 		start = p.tableSize
 	}
 	for b := start; b <= p.tableSize; b++ {
-		list := p.buckets[b]
-		if len(list) == 0 {
-			continue
+		// A last chunk smaller than the request is only possible in the
+		// overflow bucket (table_size), which mixes sizes; it falls through
+		// to the own-bucket scan / largest-chunk path.
+		if n := len(p.buckets[b]); n > 0 && p.buckets[b][n-1].pages() >= reqPages {
+			return p.take(b, n-1), true
 		}
-		c := list[len(list)-1]
-		if c.pages() < reqPages {
-			// Only possible in the overflow bucket (table_size), which
-			// mixes sizes; fall through to the own-bucket scan /
-			// largest-chunk path.
-			continue
-		}
-		p.buckets[b] = list[:len(list)-1]
-		p.totalPages -= c.pages()
-		return c, true
 	}
 	own := p.bucketFor(reqPages)
 	for i := len(p.buckets[own]) - 1; i >= 0; i-- {
-		c := p.buckets[own][i]
-		if c.pages() < reqPages {
-			continue
+		if p.buckets[own][i].pages() >= reqPages {
+			return p.take(own, i), true
 		}
-		list := p.buckets[own]
-		list[i] = list[len(list)-1]
-		p.buckets[own] = list[:len(list)-1]
-		p.totalPages -= c.pages()
-		return c, true
 	}
 	return poolChunk{}, false
 }
@@ -122,12 +108,7 @@ func (p *segregatedPool) takeLargest() (poolChunk, bool) {
 	if bestBucket < 0 {
 		return poolChunk{}, false
 	}
-	list := p.buckets[bestBucket]
-	c := list[bestIdx]
-	list[bestIdx] = list[len(list)-1]
-	p.buckets[bestBucket] = list[:len(list)-1]
-	p.totalPages -= c.pages()
-	return c, true
+	return p.take(bestBucket, bestIdx), true
 }
 
 // takeSmallest pops the smallest chunk (the trim path of Algorithm 2
@@ -148,12 +129,18 @@ func (p *segregatedPool) takeSmallest() (poolChunk, bool) {
 	if bestBucket < 0 {
 		return poolChunk{}, false
 	}
-	list := p.buckets[bestBucket]
-	c := list[bestIdx]
-	list[bestIdx] = list[len(list)-1]
-	p.buckets[bestBucket] = list[:len(list)-1]
+	return p.take(bestBucket, bestIdx), true
+}
+
+// take removes chunk i of bucket b, moving the bucket's last chunk into
+// its slot, and returns it.
+func (p *segregatedPool) take(b, i int) poolChunk {
+	list := p.buckets[b]
+	c := list[i]
+	list[i] = list[len(list)-1]
+	p.buckets[b] = list[:len(list)-1]
 	p.totalPages -= c.pages()
-	return c, true
+	return c
 }
 
 // chunks returns the number of pooled chunks.

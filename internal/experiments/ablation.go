@@ -52,8 +52,7 @@ func runFig6Cell(scale Scale, seed uint64, atOnce bool) (stats.Summary, time.Dur
 	// expansion is mid-flight — the race of Fig 6.
 	cfg.MinReserve = 1 << 20
 	cfg.RsvThrFraction = 0.1
-	k, s := microNode(seed)
-	env := newAllocEnvCfg(k, KindHermes, "ablation", nil, &cfg)
+	k, s, _, env := newMicroCell(KindHermes, ScenarioDedicated, scale.MicroTotalBytes, seed, &cfg)
 	defer env.close()
 	s.Advance(10 * simtime.Millisecond)
 	rec := stats.NewRecorder("ablation")
@@ -116,7 +115,7 @@ func mlockRun(scale Scale, seed uint64, touchPricing bool) time.Duration {
 		kcfg.Costs.MlockBase = 0
 	}
 	k := kernel.New(s, kcfg)
-	env := newAllocEnvCfg(k, KindHermes, "mlock-ablation", nil, nil)
+	env := newAllocEnv(k, KindHermes, "mlock-ablation", nil, nil)
 	defer env.close()
 	s.Advance(10 * simtime.Millisecond)
 	rec := stats.NewRecorder("x")

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/hermes-sim/hermes/internal/core"
-	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/stats"
 	"github.com/hermes-sim/hermes/internal/workload"
@@ -17,20 +16,10 @@ import (
 // per-percentile reduction bars).
 
 // runMicroCell runs one (allocator, scenario, request size) micro-benchmark
-// cell and returns its latency recorder.
-func runMicroCell(kind AllocKind, scenario Scenario, reqSize, totalBytes int64, seed uint64) *stats.Recorder {
-	return runMicroCellCfg(kind, scenario, reqSize, totalBytes, seed, nil)
-}
-
-// runMicroCellCfg is runMicroCell with a Hermes configuration override.
-func runMicroCellCfg(kind AllocKind, scenario Scenario, reqSize, totalBytes int64, seed uint64, hermesCfg *core.Config) *stats.Recorder {
-	k, s := microNode(seed)
-	pressure := startPressure(k, scenario, totalBytes)
-	var batchPIDs []kernel.PID
-	if pressure != nil {
-		batchPIDs = []kernel.PID{pressure.PID()}
-	}
-	env := newAllocEnvCfg(k, kind, "microbench", batchPIDs, hermesCfg)
+// cell, with an optional Hermes configuration override, and returns its
+// latency recorder and the allocator's peak reservation.
+func runMicroCell(kind AllocKind, scenario Scenario, reqSize, totalBytes int64, seed uint64, hermesCfg *core.Config) (*stats.Recorder, int64) {
+	k, s, pressure, env := newMicroCell(kind, scenario, totalBytes, seed, hermesCfg)
 	defer env.close()
 
 	// Let background machinery settle (management thread warm-up,
@@ -42,11 +31,12 @@ func runMicroCellCfg(kind AllocKind, scenario Scenario, reqSize, totalBytes int6
 		RequestSize: reqSize,
 		TotalBytes:  totalBytes,
 	}, rec)
+	peak := env.a.Stats().ReservePeak
 	if pressure != nil {
 		pressure.Stop()
 	}
 	k.CheckInvariants()
-	return rec
+	return rec, peak
 }
 
 // Fig3Result holds the Figure 3 series: Glibc small-request allocation
@@ -61,11 +51,11 @@ type Fig3Result struct {
 // prolongs the average by ~35.6% and p99 by ~46.6%; file pressure by ~10.8%
 // and ~7.6%).
 func Fig3(scale Scale, seed uint64) Fig3Result {
-	return Fig3Result{
-		Idle: runMicroCell(KindGlibc, ScenarioDedicated, 1024, scale.MicroTotalBytes, seed),
-		File: runMicroCell(KindGlibc, ScenarioFile, 1024, scale.MicroTotalBytes, seed),
-		Anon: runMicroCell(KindGlibc, ScenarioAnon, 1024, scale.MicroTotalBytes, seed),
+	cell := func(scenario Scenario) *stats.Recorder {
+		rec, _ := runMicroCell(KindGlibc, scenario, 1024, scale.MicroTotalBytes, seed, nil)
+		return rec
 	}
+	return Fig3Result{Idle: cell(ScenarioDedicated), File: cell(ScenarioFile), Anon: cell(ScenarioAnon)}
 }
 
 // Render prints the CDF table plus the pressure-inflation summary.
@@ -110,13 +100,13 @@ func runMicroFig(figure string, reqSize int64, scale Scale, seed uint64) MicroFi
 	}
 	for _, scenario := range AllScenarios {
 		for _, kind := range AllAllocKinds {
-			rec := runMicroCell(kind, scenario, reqSize, scale.MicroTotalBytes, seed)
+			rec, _ := runMicroCell(kind, scenario, reqSize, scale.MicroTotalBytes, seed, nil)
 			res.Series[rec.Name()] = rec
 		}
 	}
 	// The proactive-reclamation ablation only matters under file-cache
 	// pressure (Figs 7c, 8c).
-	rec := runMicroCell(KindHermesNoRec, ScenarioFile, reqSize, scale.MicroTotalBytes, seed)
+	rec, _ := runMicroCell(KindHermesNoRec, ScenarioFile, reqSize, scale.MicroTotalBytes, seed, nil)
 	res.Series[rec.Name()] = rec
 	return res
 }

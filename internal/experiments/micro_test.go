@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/stats"
 	"github.com/hermes-sim/hermes/internal/workload"
@@ -32,14 +31,10 @@ func TestMicroBenchHeapAllocs(t *testing.T) {
 	for _, scenario := range AllScenarios {
 		for _, kind := range microKinds {
 			t.Run(seriesName(kind, scenario), func(t *testing.T) {
-				k, s := microNode(1)
-				pressure := startPressure(k, scenario, microStreamBytes)
-				var batchPIDs []kernel.PID
+				k, s, pressure, env := newMicroCell(kind, scenario, microStreamBytes, 1, nil)
 				if pressure != nil {
-					batchPIDs = []kernel.PID{pressure.PID()}
 					defer pressure.Stop()
 				}
-				env := newAllocEnv(k, kind, "microbench", batchPIDs)
 				defer env.close()
 				s.Advance(20 * simtime.Millisecond)
 				allocs := testing.AllocsPerRun(1, func() {
@@ -64,7 +59,7 @@ func BenchmarkMicroCell(b *testing.B) {
 	for _, kind := range microKinds {
 		b.Run(string(kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				microSink = runMicroCell(kind, ScenarioDedicated, microStreamReq, microStreamBytes, 1)
+				microSink, _ = runMicroCell(kind, ScenarioDedicated, microStreamReq, microStreamBytes, 1, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*microStreamOps), "ns/malloc")
 		})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/monitor"
 	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/stats"
@@ -40,8 +39,7 @@ type OverheadResult struct {
 func Overhead(scale Scale, seed uint64) OverheadResult {
 	res := OverheadResult{DaemonMemBytes: 2 << 20}
 	for _, reqSize := range []int64{1024, 256 << 10} {
-		k, s := microNode(seed)
-		env := newAllocEnvCfg(k, KindHermesNoRec, "overhead", nil, nil)
+		k, s, _, env := newMicroCell(KindHermesNoRec, ScenarioDedicated, scale.MicroTotalBytes, seed, nil)
 		s.Advance(10 * simtime.Millisecond)
 		rec := stats.NewRecorder("overhead")
 		workload.RunMicroBench(k, env.a, workload.MicroBenchConfig{
@@ -61,8 +59,7 @@ func Overhead(scale Scale, seed uint64) OverheadResult {
 	// Paced allocation: one 1 KB request every 100 µs (~10 MB/s, a busy
 	// service rather than a saturating benchmark).
 	{
-		k, s := microNode(seed)
-		env := newAllocEnvCfg(k, KindHermesNoRec, "overhead-paced", nil, nil)
+		_, s, _, env := newMicroCell(KindHermesNoRec, ScenarioDedicated, scale.MicroTotalBytes, seed, nil)
 		for i := 0; i < 20000; i++ {
 			b, c := env.a.Malloc(s.Now(), 1024)
 			env.a.Touch(s.Now().Add(c), b)
@@ -85,7 +82,6 @@ func Overhead(scale Scale, seed uint64) OverheadResult {
 	s.Advance(10 * simtime.Second)
 	res.DaemonCPU = d.Utilization(s.Now())
 	d.Stop()
-	_ = kernel.PID(0)
 	return res
 }
 

@@ -5,10 +5,7 @@ import (
 	"strings"
 
 	"github.com/hermes-sim/hermes/internal/core"
-	"github.com/hermes-sim/hermes/internal/kernel"
-	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/stats"
-	"github.com/hermes-sim/hermes/internal/workload"
 )
 
 // This file reproduces the parameter-sensitivity study (§5.4, Figures 15
@@ -40,7 +37,8 @@ func runSensitivity(figure string, reqSize int64, scale Scale, seed uint64) Sens
 	}
 	scenarios := []Scenario{ScenarioDedicated, ScenarioAnon}
 	for _, scenario := range scenarios {
-		glibc := runMicroCell(KindGlibc, scenario, reqSize, scale.MicroTotalBytes, seed).Summarize()
+		glibcRec, _ := runMicroCell(KindGlibc, scenario, reqSize, scale.MicroTotalBytes, seed, nil)
+		glibc := glibcRec.Summarize()
 		rows := make([]map[string]float64, 0, len(SensitivityFactors))
 		peaks := make([]int64, 0, len(SensitivityFactors))
 		for _, factor := range SensitivityFactors {
@@ -50,7 +48,7 @@ func runSensitivity(figure string, reqSize int64, scale Scale, seed uint64) Sens
 			// demand and mask the factor; the sensitivity study lowers it
 			// so RSV_FACTOR actually governs the reserve.
 			cfg.MinReserve = 256 << 10
-			rec, peak := runSensitivityCell(scenario, reqSize, scale, seed, &cfg)
+			rec, peak := runMicroCell(KindHermes, scenario, reqSize, scale.MicroTotalBytes, seed, &cfg)
 			hermes := rec.Summarize()
 			row := make(map[string]float64, len(stats.PercentileKeys))
 			for _, key := range stats.PercentileKeys {
@@ -63,30 +61,6 @@ func runSensitivity(figure string, reqSize int64, scale Scale, seed uint64) Sens
 		res.ReservePeak[scenario] = peaks
 	}
 	return res
-}
-
-// runSensitivityCell runs a Hermes micro cell and also captures the peak
-// reservation for the wastage discussion.
-func runSensitivityCell(scenario Scenario, reqSize int64, scale Scale, seed uint64, cfg *core.Config) (*stats.Recorder, int64) {
-	k, s := microNode(seed)
-	pressure := startPressure(k, scenario, scale.MicroTotalBytes)
-	var batchPIDs []kernel.PID
-	if pressure != nil {
-		batchPIDs = []kernel.PID{pressure.PID()}
-	}
-	env := newAllocEnvCfg(k, KindHermes, "sensitivity", batchPIDs, cfg)
-	defer env.close()
-	s.Advance(20 * simtime.Millisecond)
-	rec := stats.NewRecorder(seriesName(KindHermes, scenario))
-	workload.RunMicroBench(k, env.a, workload.MicroBenchConfig{
-		RequestSize: reqSize,
-		TotalBytes:  scale.MicroTotalBytes,
-	}, rec)
-	peak := env.a.Stats().ReservePeak
-	if pressure != nil {
-		pressure.Stop()
-	}
-	return rec, peak
 }
 
 // Reduction returns the reduction row for (scenario, factor index, key).

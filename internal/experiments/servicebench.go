@@ -82,20 +82,9 @@ func runServiceCell(svcKind ServiceKind, allocKind AllocKind, level float64, rec
 		k.SetOOMHandler(runner.HandleOOM)
 	}
 
-	env := newAllocEnv(k, allocKind, string(svcKind), nil)
+	env := newAllocEnv(k, allocKind, string(svcKind), nil, nil)
 	defer env.close()
-	if env.reg != nil && runner != nil {
-		// The administrator registers batch containers; containers churn,
-		// so the registration is refreshed periodically (§3.3).
-		refresh := simtime.NewPeriodicTask(s, 500*simtime.Millisecond, func(simtime.Time) simtime.Duration {
-			for _, pid := range runner.PIDs() {
-				env.reg.AddBatch(pid)
-			}
-			for _, pid := range runner.InputFilePIDs() {
-				env.reg.AddBatch(pid)
-			}
-			return 10 * simtime.Microsecond
-		})
+	if refresh := env.refreshBatch(s, runner, 500*simtime.Millisecond); refresh != nil {
 		defer refresh.Stop()
 		for _, pid := range runner.PIDs() {
 			env.reg.AddBatch(pid)

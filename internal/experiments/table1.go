@@ -79,18 +79,9 @@ func runTable1Cell(svcKind ServiceKind, scenario Table1Scenario, scale Scale, se
 	if scenario == Table1Hermes {
 		allocKind = KindHermes
 	}
-	env := newAllocEnv(k, allocKind, string(svcKind), nil)
+	env := newAllocEnv(k, allocKind, string(svcKind), nil, nil)
 	defer env.close()
-	if env.reg != nil && runner != nil {
-		refresh := simtime.NewPeriodicTask(s, simtime.Second, func(simtime.Time) simtime.Duration {
-			for _, pid := range runner.PIDs() {
-				env.reg.AddBatch(pid)
-			}
-			for _, pid := range runner.InputFilePIDs() {
-				env.reg.AddBatch(pid)
-			}
-			return 10 * simtime.Microsecond
-		})
+	if refresh := env.refreshBatch(s, runner, simtime.Second); refresh != nil {
 		defer refresh.Stop()
 	}
 

@@ -12,6 +12,7 @@ import (
 	"github.com/hermes-sim/hermes/internal/alloc/glibcmalloc"
 	"github.com/hermes-sim/hermes/internal/alloc/jemalloc"
 	"github.com/hermes-sim/hermes/internal/alloc/tcmalloc"
+	"github.com/hermes-sim/hermes/internal/batch"
 	"github.com/hermes-sim/hermes/internal/core"
 	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/monitor"
@@ -116,17 +117,31 @@ func (e *allocEnv) close() {
 	e.a.Close()
 }
 
-// newAllocEnv instantiates the allocator under test. For Hermes the monitor
-// daemon runs too (proactive reclamation) unless the "w/o rec" ablation is
-// selected; batchPIDs are the co-tenant processes whose files the daemon
-// may release.
-func newAllocEnv(k *kernel.Kernel, kind AllocKind, name string, batchPIDs []kernel.PID) *allocEnv {
-	return newAllocEnvCfg(k, kind, name, batchPIDs, nil)
+// refreshBatch registers the batch runner's containers and input-file
+// owners with the Hermes registry every period: the administrator
+// registers batch containers, and containers churn (§3.3). It returns nil
+// when there is no registry or no batch runner.
+func (e *allocEnv) refreshBatch(s *simtime.Scheduler, runner *batch.Runner, period simtime.Duration) *simtime.PeriodicTask {
+	if e.reg == nil || runner == nil {
+		return nil
+	}
+	return simtime.NewPeriodicTask(s, period, func(simtime.Time) simtime.Duration {
+		for _, pid := range runner.PIDs() {
+			e.reg.AddBatch(pid)
+		}
+		for _, pid := range runner.InputFilePIDs() {
+			e.reg.AddBatch(pid)
+		}
+		return 10 * simtime.Microsecond
+	})
 }
 
-// newAllocEnvCfg is newAllocEnv with an optional Hermes configuration
-// override (the sensitivity and ablation experiments sweep it).
-func newAllocEnvCfg(k *kernel.Kernel, kind AllocKind, name string, batchPIDs []kernel.PID, hermesCfg *core.Config) *allocEnv {
+// newAllocEnv instantiates the allocator under test, with an optional
+// Hermes configuration override (the sensitivity and ablation experiments
+// sweep it). For Hermes the monitor daemon runs too (proactive
+// reclamation) unless the "w/o rec" ablation is selected; batchPIDs are the
+// co-tenant processes whose files the daemon may release.
+func newAllocEnv(k *kernel.Kernel, kind AllocKind, name string, batchPIDs []kernel.PID, hermesCfg *core.Config) *allocEnv {
 	env := &allocEnv{}
 	switch kind {
 	case KindGlibc:
@@ -191,6 +206,22 @@ func startPressure(k *kernel.Kernel, scenario Scenario, benchBytes int64) *workl
 		cfg.FreeBytes = 4 << 20
 	}
 	return workload.StartPressure(k, cfg)
+}
+
+// newMicroCell sets up one micro-benchmark cell: the paper's testbed, the
+// scenario's pressure generator sized to benchBytes (nil on a dedicated
+// system) and the allocator under test, with the generator's process
+// registered as a batch co-tenant the monitor daemon may reclaim from.
+// hermesCfg optionally overrides the Hermes configuration. Warm-up is the
+// caller's.
+func newMicroCell(kind AllocKind, scenario Scenario, benchBytes int64, seed uint64, hermesCfg *core.Config) (*kernel.Kernel, *simtime.Scheduler, *workload.Pressure, *allocEnv) {
+	k, s := microNode(seed)
+	pressure := startPressure(k, scenario, benchBytes)
+	var batchPIDs []kernel.PID
+	if pressure != nil {
+		batchPIDs = []kernel.PID{pressure.PID()}
+	}
+	return k, s, pressure, newAllocEnv(k, kind, "microbench", batchPIDs, hermesCfg)
 }
 
 // seriesName renders the paper's curve labels ("Hermes+anon", "Glibc").

@@ -75,32 +75,12 @@ func (d *Disk) IO(at simtime.Time, pages int64, write bool) simtime.Duration {
 	if pages <= 0 {
 		return 0
 	}
-	var total simtime.Duration
 	start := at
 	if d.busyUntil > start {
 		start = d.busyUntil
 	}
-	remaining := pages
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > d.cfg.ClusterPages {
-			chunk = d.cfg.ClusterPages
-		}
-		dur := d.cfg.SeekTime + simtime.Duration(chunk)*d.cfg.TransferPerPage
-		start = start.Add(dur)
-		d.BusyTime += dur
-		remaining -= chunk
-		if write {
-			d.Writes++
-			d.PagesWrite += chunk
-		} else {
-			d.Reads++
-			d.PagesRead += chunk
-		}
-	}
-	d.busyUntil = start
-	total = start.Sub(at)
-	return total
+	d.busyUntil = start.Add(d.transfer(pages, write))
+	return d.busyUntil.Sub(at)
 }
 
 // IOUrgent performs a synchronous transfer with head-of-line priority:
@@ -112,16 +92,22 @@ func (d *Disk) IOUrgent(at simtime.Time, pages int64, write bool) simtime.Durati
 	if pages <= 0 {
 		return 0
 	}
+	total := d.transfer(pages, write)
+	if d.busyUntil < at {
+		d.busyUntil = at
+	}
+	d.busyUntil = d.busyUntil.Add(total)
+	return total
+}
+
+// transfer charges one seek plus the per-page transfer for every
+// ClusterPages chunk of pages, bumps the busy-time and direction counters,
+// and returns the device time the transfer takes.
+func (d *Disk) transfer(pages int64, write bool) simtime.Duration {
 	var total simtime.Duration
-	remaining := pages
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > d.cfg.ClusterPages {
-			chunk = d.cfg.ClusterPages
-		}
-		dur := d.cfg.SeekTime + simtime.Duration(chunk)*d.cfg.TransferPerPage
-		total += dur
-		d.BusyTime += dur
+	for remaining := pages; remaining > 0; {
+		chunk := min(remaining, d.cfg.ClusterPages)
+		total += d.cfg.SeekTime + simtime.Duration(chunk)*d.cfg.TransferPerPage
 		remaining -= chunk
 		if write {
 			d.Writes++
@@ -131,10 +117,7 @@ func (d *Disk) IOUrgent(at simtime.Time, pages int64, write bool) simtime.Durati
 			d.PagesRead += chunk
 		}
 	}
-	if d.busyUntil < at {
-		d.busyUntil = at
-	}
-	d.busyUntil = d.busyUntil.Add(total)
+	d.BusyTime += total
 	return total
 }
 

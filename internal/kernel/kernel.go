@@ -242,7 +242,7 @@ func (k *Kernel) PageSize() int64 { return k.cfg.PageSize }
 // place per-node randomness is rooted — to keep them collision-free.
 const (
 	// streamKernel drives the kernel's own stochastic choices and the
-	// request-latency jitter (workload.Jitter draws from Kernel.RNG).
+	// request-latency jitter (workload.JitterRequest draws from Kernel.RNG).
 	streamKernel uint64 = iota
 	// StreamPressure drives workload.StartPressure's co-tenant behaviour.
 	StreamPressure
@@ -318,7 +318,7 @@ func (k *Kernel) SetOOMHandler(h OOMHandler) { k.oom = h }
 // reclaim at instant now: zero when kswapd is idle, the swap factor while
 // reclaim is swap-bound (it swapped within the last 50 ms), the milder file
 // factor while reclaim survives on clean file drops. Workloads multiply
-// their request latencies by 1+factor (see workload.Jitter).
+// their request latencies by 1+factor (see workload.JitterRequest).
 func (k *Kernel) AmbientFactor(now simtime.Time) float64 {
 	if !k.kswapdOn {
 		return 0

@@ -11,7 +11,6 @@ const (
 	listInactiveAnon
 	listActiveFile
 	listInactiveFile
-	listKindCount = 4
 )
 
 func (k listKind) String() string {
@@ -28,8 +27,6 @@ func (k listKind) String() string {
 		return fmt.Sprintf("listKind(%d)", int(k))
 	}
 }
-
-func (k listKind) anon() bool { return k == listActiveAnon || k == listInactiveAnon }
 
 // span is a run of pages with a common owner sitting on one LRU list.
 // Tracking runs instead of individual page structs keeps the simulation of a
@@ -276,17 +273,6 @@ func (l *lruList) ownerChain(region *Region, file *File) *ownerChain {
 	return &file.lruChain[l.slot]
 }
 
-// ownerPages counts pages on the list belonging to the owner. O(owner
-// spans); used only in tests and invariant checks.
-func (l *lruList) ownerPages(region *Region, file *File) int64 {
-	var n int64
-	c := l.ownerChain(region, file)
-	for idx := c.head1 - 1; idx != nilNode; idx = l.arena.nodes[idx].ownerNext {
-		n += l.arena.nodes[idx].pages
-	}
-	return n
-}
-
 // checkChains verifies the owner chains against the main list: walked
 // MRU→LRU, every owner's nodes must appear on that owner's chain in the
 // same order, with matching head/tail anchors. O(spans); invariant checks
@@ -354,9 +340,4 @@ func (s lruSet) byKind(k listKind) *lruList {
 	default:
 		panic(fmt.Sprintf("kernel: bad list kind %d", int(k)))
 	}
-}
-
-// totalPages returns pages across all four lists.
-func (s lruSet) totalPages() int64 {
-	return s.activeAnon.pages + s.inactiveAnon.pages + s.activeFile.pages + s.inactiveFile.pages
 }

@@ -20,14 +20,6 @@ func (r *Recorder) CDF(n int) []CDFPoint {
 	if n <= 0 || r.Count() == 0 {
 		return nil
 	}
-	if r.hist != nil {
-		points := make([]CDFPoint, 0, n)
-		for i := 1; i <= n; i++ {
-			frac := float64(i) / float64(n)
-			points = append(points, CDFPoint{Latency: r.hist.Quantile(frac * 100), Fraction: frac})
-		}
-		return points
-	}
 	points := make([]CDFPoint, 0, n)
 	for i := 1; i <= n; i++ {
 		frac := float64(i) / float64(n)
@@ -46,17 +38,6 @@ func (r *Recorder) TailCDF(from float64, n int) []CDFPoint {
 	if span == 0 {
 		span = 1 // a single point sits at `from`, not at NaN
 	}
-	if r.hist != nil {
-		points := make([]CDFPoint, 0, n)
-		for i := 0; i < n; i++ {
-			frac := from + (1-from)*float64(i)/span
-			if frac > 1 {
-				frac = 1
-			}
-			points = append(points, CDFPoint{Latency: r.hist.Quantile(frac * 100), Fraction: frac})
-		}
-		return points
-	}
 	points := make([]CDFPoint, 0, n)
 	for i := 0; i < n; i++ {
 		frac := from + (1-from)*float64(i)/span
@@ -68,9 +49,13 @@ func (r *Recorder) TailCDF(from float64, n int) []CDFPoint {
 	return points
 }
 
-// atFraction returns the raw sample at cumulative fraction frac: the
-// ⌊frac·n⌋-th smallest, clamped to the samples.
+// atFraction returns the latency at cumulative fraction frac: the
+// histogram's quantile in streaming mode, else the ⌊frac·n⌋-th smallest
+// raw sample, clamped to the samples.
 func (r *Recorder) atFraction(frac float64) time.Duration {
+	if r.hist != nil {
+		return r.hist.Quantile(frac * 100)
+	}
 	n := r.Count()
 	idx := int(frac*float64(n)) - 1
 	if idx < 0 {

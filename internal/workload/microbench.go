@@ -14,30 +14,21 @@ import (
 	"github.com/hermes-sim/hermes/internal/workload/randgen"
 )
 
-// Jitter applies the cost model's measurement noise and the ambient
-// reclaim slowdown to a latency: multiplicative log-normal spread, rare
-// scheduling spikes, and the uniform 1+AmbientFactor inflation while
-// reclaim is active. It is what gives simulated CDFs the smooth support of
-// the measured ones instead of a handful of discrete steps.
-func Jitter(k *kernel.Kernel, d simtime.Duration) simtime.Duration {
-	return jitter(k, d, true)
-}
-
-// JitterRequest is Jitter for one allocation request: requests served
-// entirely from pre-mapped memory (Hermes reservations, allocator caches of
-// resident memory) complete in user space without entering the kernel, so
-// the ambient reclaim slowdown does not apply to them — the mechanism
-// behind Hermes' latency staying near its dedicated-system level even under
-// pressure (Figs 7b, 8b).
+// JitterRequest applies the cost model's measurement noise to one
+// allocation request's latency: multiplicative log-normal spread and rare
+// scheduling spikes, which give simulated CDFs the smooth support of the
+// measured ones instead of a handful of discrete steps. A request that
+// enters the kernel is also inflated by 1+AmbientFactor while reclaim is
+// active. Requests served entirely from pre-mapped memory (Hermes
+// reservations, allocator caches of resident memory) complete in user
+// space without entering the kernel, so the ambient reclaim slowdown does
+// not apply to them — the mechanism behind Hermes' latency staying near
+// its dedicated-system level even under pressure (Figs 7b, 8b).
 func JitterRequest(k *kernel.Kernel, d simtime.Duration, preMapped bool) simtime.Duration {
-	return jitter(k, d, !preMapped)
-}
-
-func jitter(k *kernel.Kernel, d simtime.Duration, ambient bool) simtime.Duration {
 	costs := k.Costs()
 	rng := k.RNG()
 	out := d
-	if ambient {
+	if !preMapped {
 		out = simtime.Duration(float64(out) * (1 + k.AmbientFactor(k.Scheduler().Now())))
 	}
 	if costs.JitterSigma > 0 {
@@ -61,9 +52,6 @@ func jitter(k *kernel.Kernel, d simtime.Duration, ambient bool) simtime.Duration
 type MicroBenchConfig struct {
 	RequestSize int64
 	TotalBytes  int64
-	// FreeBlocks controls whether the benchmark frees what it allocates;
-	// the paper's micro-benchmark only allocates.
-	FreeBlocks bool
 }
 
 func (c MicroBenchConfig) validate() error {
@@ -100,9 +88,6 @@ func RunMicroBench(k *kernel.Kernel, a alloc.Allocator, cfg MicroBenchConfig, re
 		lat := JitterRequest(k, mallocCost+touchCost, b.PreMapped)
 		rec.Record(lat)
 		s.Advance(lat)
-		if cfg.FreeBlocks {
-			s.Advance(a.Free(s.Now(), b))
-		}
 		requested += cfg.RequestSize
 	}
 }

@@ -35,16 +35,6 @@ func TestMicroBenchRecordsEveryRequest(t *testing.T) {
 	k.CheckInvariants()
 }
 
-func TestMicroBenchFreeMode(t *testing.T) {
-	k, _ := newNode(t)
-	a := glibcmalloc.New(k, "mb", glibcmalloc.DefaultConfig())
-	rec := stats.NewRecorder("mb")
-	RunMicroBench(k, a, MicroBenchConfig{RequestSize: 256 << 10, TotalBytes: 8 << 20, FreeBlocks: true}, rec)
-	if got := a.Stats().MmapBytes; got != 0 {
-		t.Fatalf("free mode left %d mmapped bytes", got)
-	}
-}
-
 func TestMicroBenchInvalidConfigPanics(t *testing.T) {
 	k, _ := newNode(t)
 	a := glibcmalloc.New(k, "mb", glibcmalloc.DefaultConfig())
@@ -62,7 +52,7 @@ func TestJitterPreservesScale(t *testing.T) {
 	var sum simtime.Duration
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += Jitter(k, base)
+		sum += JitterRequest(k, base, false)
 	}
 	mean := sum / n
 	// Log-normal with σ=0.13 keeps the mean within a few percent.
