@@ -48,6 +48,7 @@ import (
 	"time"
 
 	hermes "github.com/hermes-sim/hermes"
+	"github.com/hermes-sim/hermes/internal/metrics"
 	"github.com/hermes-sim/hermes/internal/workload"
 )
 
@@ -162,17 +163,15 @@ func run() error {
 				seedSet = true
 			}
 		})
-		if *metricsOut != "" {
-			cfg.Metrics = &hermes.MetricsConfig{Period: *metricsPeriod}
-		}
 		return runScenarioFile(cfg, kinds, scenarioOpts{
-			path:       *scenarioPath,
-			scale:      *scale,
-			seed:       *seed,
-			seedSet:    seedSet,
-			json:       *jsonOut,
-			static:     *static,
-			metricsOut: *metricsOut,
+			path:          *scenarioPath,
+			scale:         *scale,
+			seed:          *seed,
+			seedSet:       seedSet,
+			json:          *jsonOut,
+			static:        *static,
+			metricsOut:    *metricsOut,
+			metricsPeriod: *metricsPeriod,
 		})
 	}
 	if *metricsOut != "" {
@@ -223,18 +222,25 @@ func run() error {
 }
 
 type scenarioOpts struct {
-	path       string
-	scale      float64
-	seed       uint64
-	seedSet    bool
-	json       bool
-	static     bool
-	metricsOut string
+	path          string
+	scale         float64
+	seed          uint64
+	seedSet       bool
+	json          bool
+	static        bool
+	metricsOut    string
+	metricsPeriod time.Duration
 }
 
 // runScenarioFile loads, validates and runs a scenario spec for each
 // allocator kind, printing the phase × class segmented reports.
 func runScenarioFile(cfg hermes.ClusterConfig, kinds []hermes.AllocatorKind, opts scenarioOpts) error {
+	if opts.metricsOut != "" {
+		if opts.metricsPeriod <= 0 {
+			return fmt.Errorf("-metrics-period %v must be > 0", opts.metricsPeriod)
+		}
+		cfg.Metrics = &hermes.MetricsConfig{Period: opts.metricsPeriod}
+	}
 	data, err := os.ReadFile(opts.path)
 	if err != nil {
 		return err
@@ -313,10 +319,10 @@ func runScenarioFile(cfg hermes.ClusterConfig, kinds []hermes.AllocatorKind, opt
 	return nil
 }
 
-// writeMetrics writes one run's time series to the -metrics-out path: the
-// .prom/.txt extensions select Prometheus text exposition, everything else
-// JSON-lines. Multi-allocator runs suffix the allocator kind before the
-// extension so each run keeps its own stream.
+// writeMetrics writes one run's time series to the -metrics-out path, in
+// the format metrics.IsPrometheusPath picks from its extension.
+// Multi-allocator runs suffix the allocator kind before the extension so
+// each run keeps its own stream.
 func writeMetrics(path string, kind hermes.AllocatorKind, multi bool, samples []hermes.MetricsSample) error {
 	if multi {
 		ext := filepath.Ext(path)
@@ -327,10 +333,9 @@ func writeMetrics(path string, kind hermes.AllocatorKind, multi bool, samples []
 		return err
 	}
 	defer f.Close()
-	switch filepath.Ext(path) {
-	case ".prom", ".txt":
+	if metrics.IsPrometheusPath(path) {
 		err = hermes.WriteMetricsPrometheus(f, samples)
-	default:
+	} else {
 		err = hermes.WriteMetricsJSONL(f, samples)
 	}
 	if err != nil {

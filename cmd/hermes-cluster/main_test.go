@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	hermes "github.com/hermes-sim/hermes"
 )
@@ -33,8 +34,9 @@ const validSpecDoc = `{
 
 // TestRunScenarioFileErrors: every way a -scenario invocation can be
 // malformed — a missing file, broken JSON, an unknown event kind, a bad
-// duration, a node size that overflows, an invalid -scale — surfaces as an error that names the
-// offending field, never a panic and never a silent fallback run.
+// duration, a node size that overflows, an invalid -scale or -metrics-period
+// — surfaces as an error that names the offending field, never a panic and
+// never a silent fallback run.
 func TestRunScenarioFileErrors(t *testing.T) {
 	cfg := hermes.DefaultClusterConfig()
 	cfg.Nodes = 2
@@ -68,6 +70,10 @@ func TestRunScenarioFileErrors(t *testing.T) {
 		{"negative scale", opts(writeSpec(t, validSpecDoc), -1), "-scale must be a positive"},
 		{"NaN scale", opts(writeSpec(t, validSpecDoc), math.NaN()), "-scale must be a positive"},
 		{"infinite scale", opts(writeSpec(t, validSpecDoc), math.Inf(1)), "-scale must be a positive"},
+		{"zero metrics period", scenarioOpts{path: writeSpec(t, validSpecDoc), scale: 1, seed: 1, json: true,
+			metricsOut: filepath.Join(t.TempDir(), "m.jsonl")}, "-metrics-period 0s must be > 0"},
+		{"negative metrics period", scenarioOpts{path: writeSpec(t, validSpecDoc), scale: 1, seed: 1, json: true,
+			metricsOut: filepath.Join(t.TempDir(), "m.prom"), metricsPeriod: -time.Millisecond}, "-metrics-period -1ms must be > 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

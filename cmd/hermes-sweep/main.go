@@ -21,6 +21,7 @@ import (
 
 	hermes "github.com/hermes-sim/hermes"
 	"github.com/hermes-sim/hermes/internal/campaign"
+	"github.com/hermes-sim/hermes/internal/metrics"
 )
 
 func main() {
@@ -58,6 +59,9 @@ func run(campaignPath string, workers int, out string, scale float64, jsonOut, q
 }
 
 func runCampaign(path string, workers int, out string, scale float64, jsonOut, quiet bool) error {
+	if workers < 0 {
+		return fmt.Errorf("-workers %d must be >= 0 (0 = GOMAXPROCS)", workers)
+	}
 	c, err := campaign.Load(path)
 	if err != nil {
 		return err
@@ -141,7 +145,7 @@ func runValidate(path string) error {
 		return err
 	}
 	defer f.Close()
-	if isProm(path) {
+	if metrics.IsPrometheusPath(path) {
 		n, err := hermes.ParseMetricsPrometheus(f)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
@@ -155,13 +159,4 @@ func runValidate(path string) error {
 	}
 	fmt.Printf("%s: valid metrics JSONL, %d windows\n", path, len(samples))
 	return nil
-}
-
-func isProm(path string) bool {
-	for _, ext := range []string{".prom", ".txt"} {
-		if len(path) > len(ext) && path[len(path)-len(ext):] == ext {
-			return true
-		}
-	}
-	return false
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -13,6 +14,14 @@ import (
 // Sample object per line — the campaign runner's and the golden tests'
 // format) and Prometheus text exposition (for scraping a finished run into
 // standard dashboards). Both are pure functions of the sample slice.
+
+// IsPrometheusPath reports whether a metrics file path selects the
+// Prometheus text exposition: a .prom or .txt extension. Every other path
+// is JSON-lines.
+func IsPrometheusPath(path string) bool {
+	ext := filepath.Ext(path)
+	return ext == ".prom" || ext == ".txt"
+}
 
 // WriteJSONL writes one compact JSON object per sample, one per line.
 func WriteJSONL(w io.Writer, samples []Sample) error {

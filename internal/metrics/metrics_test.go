@@ -183,3 +183,33 @@ func TestCollectorWindowRollRule(t *testing.T) {
 		t.Fatalf("widx = %d, want 3", got)
 	}
 }
+
+// TestIsPrometheusPath: the one extension rule both CLIs use, so a file
+// hermes-cluster -metrics-out writes as Prometheus is the file hermes-sweep
+// -validate-metrics parses as Prometheus, a bare ".prom" included.
+func TestIsPrometheusPath(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		want bool
+	}{
+		{"run.prom", true},
+		{"run.txt", true},
+		{".prom", true},
+		{".txt", true},
+		{"out/run-hermes.prom", true},
+		{"run.jsonl.prom", true},
+		{"run.jsonl", false},
+		{"run.json", false},
+		{"run", false},
+		{"", false},
+		{"run.prom.jsonl", false},
+		{"run.PROM", false},
+		{"prom", false},
+		{"run-prom", false},
+		{"dir.prom/run", false},
+	} {
+		if got := IsPrometheusPath(tc.path); got != tc.want {
+			t.Errorf("IsPrometheusPath(%q) = %v, want %v", tc.path, got, tc.want)
+		}
+	}
+}
