@@ -273,6 +273,12 @@ func runScenarioFile(cfg hermes.ClusterConfig, kinds []hermes.AllocatorKind, opt
 		// kernel streams — so the printed seed really reproduces it.
 		cfg.Seed = scn.Seed
 	}
+	if opts.metricsOut != "" {
+		// RunScenario rejects it too, but only after booting the fleet.
+		if err := cfg.Metrics.CheckHorizon(scn.End().Sub(scn.Start), cfg.Nodes); err != nil {
+			return fmt.Errorf("-metrics-period: %w", err)
+		}
+	}
 	if spec.Overrides != nil && spec.Overrides.Allocator != "" {
 		// The preset pins its allocator; -allocators is ignored.
 		kinds = []hermes.AllocatorKind{spec.Overrides.Allocator}

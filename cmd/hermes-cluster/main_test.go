@@ -34,9 +34,10 @@ const validSpecDoc = `{
 
 // TestRunScenarioFileErrors: every way a -scenario invocation can be
 // malformed — a missing file, broken JSON, an unknown event kind, a bad
-// duration, a node size that overflows, an invalid -scale or -metrics-period
-// — surfaces as an error that names the offending field, never a panic and
-// never a silent fallback run.
+// duration, a node size that overflows, an invalid -scale, a
+// -metrics-period that is not positive or cuts the horizon into too many
+// windows — surfaces as an error that names the offending field, never a
+// panic and never a silent fallback run.
 func TestRunScenarioFileErrors(t *testing.T) {
 	cfg := hermes.DefaultClusterConfig()
 	cfg.Nodes = 2
@@ -74,6 +75,10 @@ func TestRunScenarioFileErrors(t *testing.T) {
 			metricsOut: filepath.Join(t.TempDir(), "m.jsonl")}, "-metrics-period 0s must be > 0"},
 		{"negative metrics period", scenarioOpts{path: writeSpec(t, validSpecDoc), scale: 1, seed: 1, json: true,
 			metricsOut: filepath.Join(t.TempDir(), "m.prom"), metricsPeriod: -time.Millisecond}, "-metrics-period -1ms must be > 0"},
+		// Checked before the fleet boots; a run would keep 1.25 M window records.
+		{"metrics period past the window cap", scenarioOpts{path: writeSpec(t, validSpecDoc), scale: 1, seed: 1, json: true,
+			metricsOut: filepath.Join(t.TempDir(), "m.jsonl"), metricsPeriod: 8 * time.Nanosecond},
+			"-metrics-period: metrics: period 8ns cuts the 5ms horizon into 625000 windows on each of 2 nodes, over the cap of 1048576 node-windows"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -69,6 +69,7 @@ func main() {
 		for j := 0; j < 200; j++ {
 			b, c := h.Malloc(node.Now(), 4096)
 			node.Advance(c + h.Touch(node.Now().Add(c), b))
+			h.Drop(b)
 		}
 		for _, pid := range runner.PIDs() {
 			reg.AddBatch(pid)

@@ -55,17 +55,27 @@ func run() error {
 	if err := cfg.Kernel.Validate(); err != nil {
 		return fmt.Errorf("-mem: %w", err)
 	}
+	var pcfg *hermes.PressureConfig
+	switch *pressureFlag {
+	case "none":
+	case "anon", "file":
+		kind := hermes.PressureAnon
+		if *pressureFlag == "file" {
+			kind = hermes.PressureFile
+		}
+		c := hermes.DefaultPressureConfig(kind)
+		if err := c.CheckNode(mem); err != nil {
+			return fmt.Errorf("-mem %s: %w", *memFlag, err)
+		}
+		pcfg = &c
+	default:
+		return fmt.Errorf("unknown pressure %q", *pressureFlag)
+	}
 	node := hermes.NewNode(cfg)
 
 	var pressure *hermes.Pressure
-	switch *pressureFlag {
-	case "none":
-	case "anon":
-		pressure = node.StartPressure(hermes.DefaultPressureConfig(hermes.PressureAnon))
-	case "file":
-		pressure = node.StartPressure(hermes.DefaultPressureConfig(hermes.PressureFile))
-	default:
-		return fmt.Errorf("unknown pressure %q", *pressureFlag)
+	if pcfg != nil {
+		pressure = node.StartPressure(*pcfg)
 	}
 
 	var a hermes.Allocator

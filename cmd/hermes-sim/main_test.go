@@ -9,9 +9,10 @@ import (
 )
 
 // TestCLIRejectsBadSizes: a request size that is not positive, a total
-// below one request, a node size the kernel rejects, or a size whose byte
-// count overflows int64 exits 1 with one line that names the flag, instead
-// of a panic or a silently wrapped size.
+// below one request, a node size the kernel rejects or the pressure regime
+// cannot carry, or a size whose byte count overflows int64 exits 1 with one
+// line that names the flag, instead of a panic, a run without pressure or a
+// silently wrapped size. The smallest nodes each regime carries still run.
 func TestCLIRejectsBadSizes(t *testing.T) {
 	bin := buildCLI(t)
 	for _, tc := range []struct {
@@ -24,6 +25,8 @@ func TestCLIRejectsBadSizes(t *testing.T) {
 		{[]string{"-mem", "0"}, "-mem", "kernel: bad memory geometry: total=0 page=4096"},
 		{[]string{"-mem", "1KB"}, "-mem", "kernel: bad memory geometry: total=1024 page=4096"},
 		{[]string{"-total", "9000000000GB"}, "-total", `bad size "9000000000GB": overflows int64`},
+		{[]string{"-mem", "1023MB", "-pressure", "file", "-total", "1MB"}, "-mem", "file pressure reads 1024 MB files whole, more than the node's 1023 MB"},
+		{[]string{"-mem", "300MB", "-pressure", "anon"}, "-mem", "anon pressure needs a node above its 300 MB free buffer (node has 300 MB)"},
 	} {
 		name := strings.Join(tc.args, " ")
 		t.Run(name, func(t *testing.T) {
@@ -40,6 +43,14 @@ func TestCLIRejectsBadSizes(t *testing.T) {
 				t.Fatalf("%s: stderr %q, want one hermes-sim: %s line containing %q", name, msg, tc.flag, tc.want)
 			}
 		})
+	}
+	for _, args := range [][]string{
+		{"-mem", "1GB", "-pressure", "file", "-total", "1MB"},
+		{"-mem", "400MB", "-pressure", "anon", "-total", "1MB"},
+	} {
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil || !strings.Contains(string(out), "n=1024") {
+			t.Fatalf("%s: %v\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }
 

@@ -27,17 +27,28 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestPublicAPIAllAllocators: every allocator kind runs the
+// micro-benchmark through the public API, and the next Malloc after a Drop
+// returns the dropped Block, on the heap path and on the mmap path.
 func TestPublicAPIAllAllocators(t *testing.T) {
 	node := hermes.NewNode(hermes.DefaultNodeConfig())
 	for _, a := range []hermes.Allocator{
 		node.NewGlibcAllocator("g"),
 		node.NewJemallocAllocator("j"),
 		node.NewTCMallocAllocator("t"),
+		node.NewHermesAllocator("h"),
 	} {
 		rec := hermes.NewRecorder(a.Name())
 		node.RunMicroBench(a, 1024, 1<<20, rec)
 		if rec.Count() != 1024 {
 			t.Errorf("%s: recorded %d requests", a.Name(), rec.Count())
+		}
+		for _, size := range []int64{1024, 256 << 10} {
+			b, _ := a.Malloc(node.Now(), size)
+			a.Drop(b)
+			if next, _ := a.Malloc(node.Now(), size); next != b {
+				t.Errorf("%s: the %d-byte Malloc after a Drop did not reuse the dropped Block", a.Name(), size)
+			}
 		}
 		a.Close()
 	}

@@ -89,17 +89,20 @@ const (
 )
 
 // BlockPool recycles Block objects within one allocator, so steady-state
-// malloc/free cycles stop producing garbage: a freed Block returns to the
-// pool and the next Malloc reuses it. Reuse resets the object, which
-// retires the double-free safety net for handles freed before the reuse —
-// the price of a zero-allocation steady state (stale handles still panic
-// until the object is reused).
+// malloc/free cycles stop producing garbage: a freed or dropped Block
+// returns to the pool and the next Malloc reuses it. Reuse resets the
+// object, which retires the double-free safety net for handles freed
+// before the reuse — the price of a zero-allocation steady state (stale
+// handles still panic until the object is reused).
 //
-// New Blocks are carved from a slab of blockSlab Blocks, so a stream of
-// mallocs that never frees (the paper's micro-benchmark) costs one Go
-// allocation per slab instead of one per malloc. A live Block keeps its
-// whole slab reachable; freed Blocks already stay in the pool, so that
-// holds no memory the pool would have released.
+// A caller that never frees drops each handle after its last read
+// (Allocator.Drop), so a never-free stream such as the paper's
+// micro-benchmark reuses one Block. New Blocks are carved from a slab of
+// blockSlab Blocks, which serves what is left: growing sets of live
+// Blocks (service tables) cost one Go allocation per slab instead of one
+// per malloc. A live Block keeps its whole slab reachable; freed Blocks
+// already stay in the pool, so that holds no memory the pool would have
+// released.
 type BlockPool struct {
 	free []*Block
 	slab []Block
@@ -127,8 +130,8 @@ func (p *BlockPool) Get() *Block {
 	return b
 }
 
-// Put parks a freed Block for reuse. Callers must not touch the Block
-// afterwards.
+// Put parks a freed or dropped Block for reuse. Callers must not touch
+// the Block afterwards.
 func (p *BlockPool) Put(b *Block) { p.free = append(p.free, b) }
 
 // Touched reports whether the block has been written at least once.
@@ -170,6 +173,11 @@ type Allocator interface {
 	Malloc(at simtime.Time, size int64) (*Block, simtime.Duration)
 	// Free releases a block, returning the observed latency.
 	Free(at simtime.Time, b *Block) simtime.Duration
+	// Drop returns a handle its caller will never free to the pool Free
+	// would return it to. The simulated memory stays allocated and every
+	// counter is untouched; the caller keeps the memory for good, never
+	// reads b again and never passes it to Free.
+	Drop(b *Block)
 	// Touch models the application's first write of the whole block
 	// (faulting unmapped pages, swapping in reclaimed ones) and returns
 	// the observed latency.

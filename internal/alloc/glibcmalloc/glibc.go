@@ -376,6 +376,9 @@ func (a *Allocator) Free(at simtime.Time, b *Block) simtime.Duration {
 	return a.freeHeap(at, b)
 }
 
+// Drop implements alloc.Allocator: the chunk or mapping stays allocated.
+func (a *Allocator) Drop(b *Block) { a.blocks.Put(b) }
+
 func (a *Allocator) freeHeap(at simtime.Time, b *Block) simtime.Duration {
 	meta := decodeHeapMeta(b)
 	a.blocks.Put(b)

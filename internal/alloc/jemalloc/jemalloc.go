@@ -299,6 +299,9 @@ func (a *Allocator) Free(at simtime.Time, b *alloc.Block) simtime.Duration {
 	return a.cfg.FreeCost
 }
 
+// Drop implements alloc.Allocator: the object or extent stays allocated.
+func (a *Allocator) Drop(b *alloc.Block) { a.blocks.Put(b) }
+
 // decayTick purges cached extents older than the decay time: their pages go
 // back to the kernel (madvise), the VMA stays for reuse.
 func (a *Allocator) decayTick(now simtime.Time) simtime.Duration {

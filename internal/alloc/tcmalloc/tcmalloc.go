@@ -326,6 +326,9 @@ func (a *Allocator) Free(at simtime.Time, b *alloc.Block) simtime.Duration {
 	return cost
 }
 
+// Drop implements alloc.Allocator: the object or span stays allocated.
+func (a *Allocator) Drop(b *alloc.Block) { a.blocks.Put(b) }
+
 // Touch implements alloc.Allocator.
 func (a *Allocator) Touch(at simtime.Time, b *alloc.Block) simtime.Duration {
 	return alloc.TouchBlock(a.k, at, b)

@@ -125,6 +125,45 @@ func TestOOMHandlerKillsNewestContainer(t *testing.T) {
 	k.CheckInvariants()
 }
 
+// TestInputFilePIDsNameDeadOwners: each job's input file is owned by its
+// first container, so while every container lives the input-file PIDs are
+// a subset of PIDs(). Only a kill of a first container makes
+// InputFilePIDs name a PID that PIDs() does not: the dead owner, which
+// stays the file's owner after the tick restarts its container.
+func TestInputFilePIDsNameDeadOwners(t *testing.T) {
+	k, s := newNode(t)
+	r := NewRunner(k, testConfig())
+	defer r.Stop()
+	s.Advance(200 * simtime.Millisecond)
+	notLive := func() []kernel.PID {
+		live := make(map[kernel.PID]bool)
+		for _, pid := range r.PIDs() {
+			live[pid] = true
+		}
+		var out []kernel.PID
+		for _, pid := range r.InputFilePIDs() {
+			if !live[pid] {
+				out = append(out, pid)
+			}
+		}
+		return out
+	}
+	if got := notLive(); len(got) != 0 {
+		t.Fatalf("input-file PIDs %v are not live containers before any kill", got)
+	}
+
+	owner := r.jobs[0].containers[0].proc
+	k.ExitProcess(owner)
+	s.Advance(2 * r.cfg.TickPeriod) // a tick restarts the container under a new PID
+	if got := len(r.PIDs()); got != 3*8 {
+		t.Fatalf("live containers = %d after the restart, want 24", got)
+	}
+	if got := notLive(); len(got) != 1 || got[0] != owner.PID {
+		t.Fatalf("input-file PIDs outside PIDs() = %v after killing first container %d, want just it", got, owner.PID)
+	}
+	k.CheckInvariants()
+}
+
 func TestStopTearsEverythingDown(t *testing.T) {
 	k, s := newNode(t)
 	r := NewRunner(k, testConfig())

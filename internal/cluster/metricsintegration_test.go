@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +20,44 @@ func metricsScenario() (Config, workload.Scenario) {
 	cfg, scn := eventScenario()
 	cfg.Metrics = &metrics.Config{Period: 20 * simtime.Millisecond}
 	return cfg, scn
+}
+
+// TestScenarioMetricsWindowCap: validation rejects a metrics period that
+// cuts the declared horizon into more node-windows than
+// metrics.MaxNodeWindows, naming the period, the count and the cap, and
+// passes a period of the size the CLI smoke steps use. It goes through
+// validateScenario alone and never runs: at 1 ns the ramp preset's 160 ms
+// horizon on 4 nodes asks for 6.4×10^8 window records.
+func TestScenarioMetricsWindowCap(t *testing.T) {
+	data, err := os.ReadFile("../../examples/scenarios/ramp.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseScenarioSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := spec.Overrides.Apply(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn := spec.Scenario.Scaled(0.02)
+	for _, tc := range []struct {
+		period simtime.Duration
+		want   string
+	}{
+		{simtime.Nanosecond, `cluster: scenario "ramp-to-saturation": metrics: period 1ns cuts the 160ms horizon into 160000000 windows on each of 4 nodes, over the cap of 1048576 node-windows`},
+		{20 * simtime.Millisecond, "<nil>"},
+	} {
+		cfg := base
+		cfg.Metrics = &metrics.Config{Period: tc.period}
+		c := New(cfg)
+		err := c.validateScenario(scn)
+		c.Close()
+		if got := fmt.Sprint(err); got != tc.want {
+			t.Errorf("period %v: got %q, want %q", tc.period, got, tc.want)
+		}
+	}
 }
 
 // TestScenarioMetricsEngineIdentity extends the parallel-vs-sequential

@@ -207,11 +207,17 @@ func (nr *nodeRun) setFate(meta resAttempt, failed bool) {
 }
 
 // validateScenario checks the scenario against this cluster: the scenario
-// must be well-formed on its own, and every event must target an existing
-// node and machinery the fleet actually has.
+// must be well-formed on its own, every event must target an existing node
+// and machinery the fleet actually has, and a metrics collector must not
+// be asked for more windows over the declared horizon than it may keep.
 func (c *Cluster) validateScenario(scn workload.Scenario) error {
 	if err := scn.Validate(); err != nil {
 		return err
+	}
+	if m := c.cfg.Metrics; m != nil {
+		if err := m.CheckHorizon(scn.End().Sub(scn.Start), len(c.nodes)); err != nil {
+			return fmt.Errorf("cluster: scenario %q: %w", scn.Name, err)
+		}
 	}
 	for i, e := range scn.Events {
 		if e.Node >= len(c.nodes) {

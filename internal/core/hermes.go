@@ -229,6 +229,18 @@ func (h *Hermes) Free(at simtime.Time, b *alloc.Block) simtime.Duration {
 	return h.g.Config().FreeCost
 }
 
+// Drop implements alloc.Allocator, routing the handle as Free would:
+// mmap-path blocks to Hermes' own pool while the management thread runs,
+// everything else to the Glibc model. The chunk stays handed out, so an
+// oversized one is still shrunk by the next management round.
+func (h *Hermes) Drop(b *alloc.Block) {
+	if h.enabled && b.Kind == alloc.BlockMmap {
+		h.blocks.Put(b)
+		return
+	}
+	h.g.Drop(b)
+}
+
 // Touch implements alloc.Allocator.
 func (h *Hermes) Touch(at simtime.Time, b *alloc.Block) simtime.Duration {
 	return alloc.TouchBlock(h.k, at, b)

@@ -63,6 +63,7 @@ func runFig6Cell(scale Scale, seed uint64, atOnce bool) (stats.Summary, time.Dur
 		for i := int64(0); i < burst; i++ {
 			b, c1 := env.a.Malloc(s.Now(), 4096)
 			c2 := env.a.Touch(s.Now().Add(c1), b)
+			env.a.Drop(b)
 			rec.Record(c1 + c2)
 			s.Advance(c1 + c2)
 			requested += 4096

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -21,11 +22,12 @@ const (
 var microKinds = slices.Concat(AllAllocKinds, []AllocKind{KindHermesNoRec})
 
 // TestMicroBenchHeapAllocs: the micro-benchmark's request stream stays off
-// the Go heap in every allocator × regime cell. New Blocks come from slabs,
-// jitter and touch read the kernel's cost table in place, periodic ticks
-// reschedule a bound callback and the digest is presized, so a simulated
-// malloc costs at most 1/16 of a Go allocation, background pressure and
-// daemons included.
+// the Go heap in every allocator × regime cell. The stream drops each
+// handle after its last read, so one Block serves every malloc; jitter and
+// touch read the kernel's cost table in place, periodic ticks reschedule a
+// bound callback and the digest is presized (here outside the measured
+// call). So a simulated malloc costs at most 1/16 of a Go allocation and
+// 8 bytes of Go heap, background pressure and daemons included.
 func TestMicroBenchHeapAllocs(t *testing.T) {
 	cfg := workload.MicroBenchConfig{RequestSize: microStreamReq, TotalBytes: microStreamBytes}
 	for _, scenario := range AllScenarios {
@@ -37,16 +39,40 @@ func TestMicroBenchHeapAllocs(t *testing.T) {
 				}
 				defer env.close()
 				s.Advance(20 * simtime.Millisecond)
-				allocs := testing.AllocsPerRun(1, func() {
-					workload.RunMicroBench(k, env.a, cfg, stats.NewRecorder("heap"))
+				var recs []*stats.Recorder
+				for range 2 {
+					rec := stats.NewRecorder("heap")
+					rec.Grow(microStreamOps)
+					recs = append(recs, rec)
+				}
+				allocs, bytes := heapPerRun(func() {
+					workload.RunMicroBench(k, env.a, cfg, recs[0])
+					recs = recs[1:]
 				})
-				if per := allocs / microStreamOps; per > 1.0/16 {
-					t.Fatalf("%.0f Go allocations for %d mallocs (%.3f per malloc), want at most 1/16 per malloc",
+				if per := float64(allocs) / microStreamOps; per > 1.0/16 {
+					t.Fatalf("%d Go allocations for %d mallocs (%.3f per malloc), want at most 1/16 per malloc",
 						allocs, microStreamOps, per)
+				}
+				if per := float64(bytes) / microStreamOps; per > 8 {
+					t.Fatalf("%d bytes of Go heap for %d mallocs (%.1f per malloc), want at most 8 per malloc",
+						bytes, microStreamOps, per)
 				}
 			})
 		}
 	}
+}
+
+// heapPerRun is testing.AllocsPerRun(1, f) that also counts bytes: it runs
+// f once to warm up, then once more between two memory-statistics reads,
+// and returns that run's Go allocations and bytes allocated.
+func heapPerRun(f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // microSink keeps BenchmarkMicroCell's result live.

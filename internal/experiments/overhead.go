@@ -63,6 +63,7 @@ func Overhead(scale Scale, seed uint64) OverheadResult {
 		for i := 0; i < 20000; i++ {
 			b, c := env.a.Malloc(s.Now(), 1024)
 			env.a.Touch(s.Now().Add(c), b)
+			env.a.Drop(b)
 			s.Advance(100 * simtime.Microsecond)
 		}
 		res.MgmtCPUPaced = env.hermes.MgmtUtilization(s.Now())

@@ -38,6 +38,34 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// MaxNodeWindows caps the windows a collector is asked to keep over a
+// run's declared horizon, summed over nodes. A closed window costs about
+// 80 bytes per node before any histogram, so the cap holds the records
+// near 84 MB.
+const MaxNodeWindows = 1 << 20
+
+// CheckHorizon reports whether a run whose declared horizon spans span of
+// virtual time on nodes nodes stays within MaxNodeWindows: Finish closes
+// every window of that span on every node, so a tiny period asks for
+// memory no run can hold. Validate must pass first.
+func (c Config) CheckHorizon(span simtime.Duration, nodes int) error {
+	if windows := windowCount(span, c.Period); nodes > 0 && windows > MaxNodeWindows/int64(nodes) {
+		return fmt.Errorf("metrics: period %v cuts the %v horizon into %d windows on each of %d nodes, over the cap of %d node-windows",
+			c.Period, span, windows, nodes, MaxNodeWindows)
+	}
+	return nil
+}
+
+// windowCount is the number of windows Finish closes on each node over
+// span: a trailing partial window counts, and an empty run has one.
+func windowCount(span, period simtime.Duration) int64 {
+	n := int64(span / period)
+	if span%period != 0 || n == 0 {
+		n++
+	}
+	return n
+}
+
 // Counters is one node's cumulative counter state, snapshotted at window
 // closes. All fields are running totals (RSSBytes is a gauge); the series
 // assembly differences consecutive snapshots into per-window deltas.
@@ -165,11 +193,7 @@ func (c *Collector) Finish(horizon simtime.Time) {
 		horizon = c.start
 	}
 	c.horizon = horizon
-	span := horizon.Sub(c.start)
-	total := int64(span / c.period)
-	if span%c.period != 0 || total == 0 {
-		total++ // trailing partial window (or an empty run's single window)
-	}
+	total := windowCount(horizon.Sub(c.start), c.period)
 	for _, nc := range c.nodes {
 		for nc.widx < total {
 			nc.close()

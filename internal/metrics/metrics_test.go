@@ -184,6 +184,33 @@ func TestCollectorWindowRollRule(t *testing.T) {
 	}
 }
 
+// TestCheckHorizon: a horizon passes while its windows, counted as Finish
+// counts them (a trailing partial window included), fit MaxNodeWindows
+// summed over the nodes, and fails one window past it.
+func TestCheckHorizon(t *testing.T) {
+	c := Config{Period: simtime.Millisecond}
+	const perNode = MaxNodeWindows / 4
+	for _, tc := range []struct {
+		span  simtime.Duration
+		nodes int
+		ok    bool
+	}{
+		{0, 4, true},
+		{perNode * simtime.Millisecond, 4, true},
+		{perNode*simtime.Millisecond - 1, 4, true},
+		{perNode*simtime.Millisecond + 1, 4, false},
+		{(perNode + 1) * simtime.Millisecond, 4, false},
+		{MaxNodeWindows * simtime.Millisecond, 1, true},
+		{MaxNodeWindows * simtime.Millisecond, 2, false},
+		{1 << 62, 1, false},
+	} {
+		err := c.CheckHorizon(tc.span, tc.nodes)
+		if (err == nil) != tc.ok {
+			t.Errorf("span %v on %d nodes: got %v, want ok=%v", tc.span, tc.nodes, err, tc.ok)
+		}
+	}
+}
+
 // TestIsPrometheusPath: the one extension rule both CLIs use, so a file
 // hermes-cluster -metrics-out writes as Prometheus is the file hermes-sweep
 // -validate-metrics parses as Prometheus, a bare ".prom" included.

@@ -70,7 +70,10 @@ const microPresizeMax = 1 << 20
 // recording each request's malloc+write latency (the paper's "memory
 // allocation latency") into rec. The scheduler advances by each request's
 // latency, so background work (management thread, kswapd, pressure
-// generators) interleaves realistically.
+// generators) interleaves realistically. Like the paper's benchmark it
+// never frees: each request's memory stays allocated, and its handle is
+// dropped once read, so the stream reuses one Block instead of growing
+// the Go heap per simulated malloc.
 func RunMicroBench(k *kernel.Kernel, a alloc.Allocator, cfg MicroBenchConfig, rec *stats.Recorder) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -86,6 +89,7 @@ func RunMicroBench(k *kernel.Kernel, a alloc.Allocator, cfg MicroBenchConfig, re
 		b, mallocCost := a.Malloc(s.Now(), cfg.RequestSize)
 		touchCost := a.Touch(s.Now().Add(mallocCost), b)
 		lat := JitterRequest(k, mallocCost+touchCost, b.PreMapped)
+		a.Drop(b)
 		rec.Record(lat)
 		s.Advance(lat)
 		requested += cfg.RequestSize

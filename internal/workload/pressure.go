@@ -78,6 +78,26 @@ func (cfg PressureConfig) Validate() error {
 	return nil
 }
 
+// pressureFiles is the number of files the file generator splits
+// FileBytes into; it reads each one whole when it starts.
+const pressureFiles = 10
+
+// CheckNode reports whether a node of totalBytes of memory can carry the
+// generator: the initial fill leaves FreeBytes free, so a node no larger
+// than that leaves it nothing to take, and the file generator's first read
+// of each file must fit in the node's memory.
+func (cfg PressureConfig) CheckNode(totalBytes int64) error {
+	if totalBytes <= cfg.FreeBytes {
+		return fmt.Errorf("workload: %v pressure needs a node above its %d MB free buffer (node has %d MB)",
+			cfg.Kind, cfg.FreeBytes>>20, totalBytes>>20)
+	}
+	if file := cfg.FileBytes / pressureFiles; cfg.Kind == PressureFile && totalBytes < file {
+		return fmt.Errorf("workload: file pressure reads %d MB files whole, more than the node's %d MB",
+			file>>20, totalBytes>>20)
+	}
+	return nil
+}
+
 // Pressure is a running pressure generator: a simulated co-tenant process
 // (plus files for the file variant) that consumes memory down to the
 // watermark region and keeps it there, re-consuming whatever reclaim frees.
@@ -122,10 +142,9 @@ func StartPressure(k *kernel.Kernel, cfg PressureConfig) *Pressure {
 		// after reading (the paper's generator repeatedly reads 10 GB of
 		// files).
 		pages := cfg.FileBytes / k.PageSize()
-		const nFiles = 10
-		for i := 0; i < nFiles; i++ {
-			f := k.CreateFile(fmt.Sprintf("pressure-file-%d", i), pages/nFiles, p.proc.PID)
-			k.ReadFile(s.Now(), f, pages/nFiles)
+		for i := 0; i < pressureFiles; i++ {
+			f := k.CreateFile(fmt.Sprintf("pressure-file-%d", i), pages/pressureFiles, p.proc.PID)
+			k.ReadFile(s.Now(), f, pages/pressureFiles)
 			p.files = append(p.files, f)
 		}
 	}
