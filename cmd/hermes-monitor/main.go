@@ -51,14 +51,11 @@ func main() {
 	bcfg.WorkDuration = 15 * time.Second
 	runner := batch.NewRunner(k, bcfg)
 	defer runner.Stop()
-	k.SetOOMHandler(runner.HandleOOM)
 
 	reg := node.NewRegistry()
 	h := node.NewHermesAllocatorWith("svc", hermes.DefaultHermesConfig(), reg, true)
 	defer h.Close()
-	for _, pid := range runner.PIDs() {
-		reg.AddBatch(pid)
-	}
+	runner.RegisterEvery(reg, time.Second)
 	daemon := node.StartDaemon(reg, hermes.DefaultDaemonConfig())
 	defer daemon.Stop()
 
@@ -70,9 +67,6 @@ func main() {
 			b, c := h.Malloc(node.Now(), 4096)
 			node.Advance(c + h.Touch(node.Now().Add(c), b))
 			h.Drop(b)
-		}
-		for _, pid := range runner.PIDs() {
-			reg.AddBatch(pid)
 		}
 		node.Advance(time.Second)
 		st := daemon.Stats()

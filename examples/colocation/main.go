@@ -41,15 +41,12 @@ func run(useHermes bool) (time.Duration, *hermes.Recorder) {
 	bcfg.WorkDuration = 20 * time.Second
 	runner := batch.NewRunner(node.Kernel(), bcfg)
 	defer runner.Stop()
-	node.Kernel().SetOOMHandler(runner.HandleOOM)
 
 	var a hermes.Allocator
 	if useHermes {
 		reg := node.NewRegistry()
 		h := node.NewHermesAllocatorWith("redis", hermes.DefaultHermesConfig(), reg, true)
-		for _, pid := range runner.PIDs() {
-			reg.AddBatch(pid)
-		}
+		runner.RegisterEvery(reg, 500*time.Millisecond)
 		daemon := node.StartDaemon(reg, hermes.DefaultDaemonConfig())
 		defer daemon.Stop()
 		a = h

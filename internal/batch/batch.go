@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"github.com/hermes-sim/hermes/internal/kernel"
+	"github.com/hermes-sim/hermes/internal/monitor"
 	"github.com/hermes-sim/hermes/internal/simtime"
 )
 
@@ -97,6 +98,8 @@ type Runner struct {
 	k    *kernel.Kernel
 	cfg  Config
 	task *simtime.PeriodicTask
+	// registrations are the RegisterEvery tasks; Stop stops them.
+	registrations []*simtime.PeriodicTask
 
 	jobs   []*job
 	nextID int
@@ -122,7 +125,10 @@ type Runner struct {
 	stopped   bool
 }
 
-// NewRunner starts the batch workload. Stop halts it.
+// NewRunner starts the batch workload and installs HandleOOM as the
+// kernel's OOM handler: from here until Stop the runner's containers are
+// the node's OOM victims. A kernel has one OOM handler, so a node runs one
+// Runner at a time. Stop halts it.
 func NewRunner(k *kernel.Kernel, cfg Config) *Runner {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -135,7 +141,34 @@ func NewRunner(k *kernel.Kernel, cfg Config) *Runner {
 		r.jobs = append(r.jobs, r.startJob())
 	}
 	r.task = simtime.NewPeriodicTask(k.Scheduler(), cfg.TickPeriod, r.tick)
+	k.SetOOMHandler(r.HandleOOM)
 	return r
+}
+
+// RegisterEvery is the administrator's batch registration (§3.3): it adds
+// every PIDs and InputFilePIDs entry to reg now and again every period, so
+// the monitor daemon may release the cache of containers that churn in.
+// It never removes a PID: a dead container's input file stays cached
+// (§2.3), and the daemon's tick costs the same at any registry size. Each
+// refresh charges 10 µs of virtual CPU. The refreshes end at Stop.
+func (r *Runner) RegisterEvery(reg *monitor.Registry, period simtime.Duration) {
+	if r.stopped {
+		return
+	}
+	register := func() {
+		for _, pid := range r.PIDs() {
+			reg.AddBatch(pid)
+		}
+		for _, pid := range r.InputFilePIDs() {
+			reg.AddBatch(pid)
+		}
+	}
+	register()
+	r.registrations = append(r.registrations, simtime.NewPeriodicTask(r.k.Scheduler(), period,
+		func(simtime.Time) simtime.Duration {
+			register()
+			return 10 * simtime.Microsecond
+		}))
 }
 
 // TargetBytes returns the runner's current combined anonymous footprint
@@ -349,8 +382,8 @@ func (r *Runner) killNewest(now simtime.Time) {
 	}
 }
 
-// HandleOOM is an OOMHandler killing the newest container; colocation
-// experiments install it so kernel OOM maps to batch-job progress loss.
+// HandleOOM is an OOMHandler killing the newest container, so kernel OOM
+// maps to batch-job progress loss. NewRunner installs it; Stop removes it.
 func (r *Runner) HandleOOM(k *kernel.Kernel, at simtime.Time, need int64) bool {
 	before := r.Kills
 	r.killNewest(at)
@@ -362,12 +395,16 @@ func (r *Runner) HandleOOM(k *kernel.Kernel, at simtime.Time, need int64) bool {
 	return true
 }
 
-// Stop halts the runner and tears down all containers and datasets.
+// Stop halts the runner and its registrations, tears down all containers
+// and datasets, and removes the kernel's OOM handler.
 func (r *Runner) Stop() {
 	if r.stopped {
 		return
 	}
 	r.stopped = true
+	for _, t := range r.registrations {
+		t.Stop()
+	}
 	r.task.Stop()
 	for _, j := range r.jobs {
 		for _, c := range j.containers {
@@ -384,4 +421,5 @@ func (r *Runner) Stop() {
 			r.k.DeleteFile(f)
 		}
 	}
+	r.k.SetOOMHandler(nil)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/hermes-sim/hermes/internal/kernel"
+	"github.com/hermes-sim/hermes/internal/monitor"
 	"github.com/hermes-sim/hermes/internal/simtime"
 )
 
@@ -99,7 +100,6 @@ func TestKillingPolicyTriggersUnderPressure(t *testing.T) {
 	r := NewRunner(k, cfg)
 	defer r.Stop()
 	r.Killing = true
-	k.SetOOMHandler(r.HandleOOM)
 	s.Advance(5 * simtime.Second)
 	if r.Kills == 0 && r.OOMKills == 0 {
 		t.Fatal("killing policy never fired under 200% pressure")
@@ -162,6 +162,83 @@ func TestInputFilePIDsNameDeadOwners(t *testing.T) {
 		t.Fatalf("input-file PIDs outside PIDs() = %v after killing first container %d, want just it", got, owner.PID)
 	}
 	k.CheckInvariants()
+}
+
+// TestNewRunnerOwnsOOM: NewRunner installs the runner as the kernel's OOM
+// handler, so with no SetOOMHandler call an allocation past a swapless
+// node's memory is resolved by killing batch containers.
+func TestNewRunnerOwnsOOM(t *testing.T) {
+	s := simtime.NewScheduler()
+	kcfg := kernel.DefaultConfig()
+	kcfg.TotalMemory = 2 << 30
+	kcfg.SwapBytes = 0 // batch anon cannot be swapped out
+	k := kernel.New(s, kcfg)
+	r := NewRunner(k, testConfig())
+	defer r.Stop()
+	s.Advance(simtime.Second) // ramp the 512 MB of batch anon
+	hog := k.CreateProcess("hog")
+	pages := k.TotalPages() * 7 / 8
+	region, _ := k.Mmap(s.Now(), hog, pages)
+	k.FaultIn(s.Now(), region, pages)
+	if r.OOMKills == 0 {
+		t.Fatal("an allocation past the node's memory was not resolved by the runner")
+	}
+	k.CheckInvariants()
+}
+
+// TestRegisterEvery: the registration adds every PIDs and InputFilePIDs
+// entry at once, picks up containers that start between refreshes within
+// one period (including a job's input-file owner killed before any refresh
+// saw it, which only InputFilePIDs names), never removes a PID, and stops
+// with the runner.
+func TestRegisterEvery(t *testing.T) {
+	k, s := newNode(t)
+	idle := s.Pending()
+	r := NewRunner(k, testConfig())
+	reg := monitor.NewRegistry()
+	r.RegisterEvery(reg, 500*simtime.Millisecond)
+	first := append(r.PIDs(), r.InputFilePIDs()...)
+	for _, pid := range first {
+		if !reg.IsBatch(pid) {
+			t.Fatalf("PID %d not registered at once", pid)
+		}
+	}
+
+	for r.Completed == 0 { // a job completes and a new one replaces it
+		s.Advance(r.cfg.TickPeriod)
+	}
+	fresh := r.jobs[0]
+	for _, j := range r.jobs {
+		if j.id > fresh.id {
+			fresh = j
+		}
+	}
+	owner, sibling := fresh.containers[0].proc, fresh.containers[1].proc.PID
+	if reg.IsBatch(owner.PID) || reg.IsBatch(sibling) {
+		t.Fatalf("job %d registered before a refresh saw it", fresh.id)
+	}
+	k.ExitProcess(owner)
+	s.Advance(500 * simtime.Millisecond)
+	if !reg.IsBatch(sibling) || !reg.IsBatch(owner.PID) {
+		t.Fatalf("after one period: container %d registered %v, dead input-file owner %d registered %v",
+			sibling, reg.IsBatch(sibling), owner.PID, reg.IsBatch(owner.PID))
+	}
+	for _, pid := range first {
+		if !reg.IsBatch(pid) {
+			t.Fatalf("PID %d of a completed job was removed from the registry", pid)
+		}
+	}
+
+	r.Stop()
+	if got := s.Pending(); got != idle {
+		t.Fatalf("%d events pending after Stop, want the idle node's %d", got, idle)
+	}
+	n := len(reg.BatchPIDs())
+	r.RegisterEvery(reg, 500*simtime.Millisecond)
+	s.Advance(2 * simtime.Second)
+	if got := len(reg.BatchPIDs()); got != n || s.Pending() != idle {
+		t.Fatalf("registrations ran after Stop: %d PIDs (was %d), %d events pending", got, n, s.Pending())
+	}
 }
 
 func TestStopTearsEverythingDown(t *testing.T) {

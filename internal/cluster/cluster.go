@@ -169,6 +169,9 @@ func (c Config) Validate() error {
 		if err := c.Pressure.Validate(); err != nil {
 			return fmt.Errorf("cluster: Pressure: %w", err)
 		}
+		if err := c.Pressure.CheckNode(c.Kernel.TotalMemory); err != nil {
+			return fmt.Errorf("cluster: Pressure: %w", err)
+		}
 	}
 	if c.Batch != nil {
 		if err := c.Batch.Validate(); err != nil {
@@ -253,7 +256,6 @@ type Node struct {
 	daemon   *monitor.Daemon
 	pressure *workload.Pressure
 	runner   *batch.Runner
-	refresh  *simtime.PeriodicTask
 	squeeze  *kernel.Process
 	// hermes lists the node's hermes allocators (creation order) so the
 	// adaptive control plane can retune their policy mid-run; empty for
@@ -359,24 +361,18 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// startBatchRunner launches churning batch co-tenants on the node and
-// routes kernel OOM to them.
+// startBatchRunner launches churning batch co-tenants on the node; they
+// are its OOM victims until stopBatchRunner.
 func (c *Cluster) startBatchRunner(n *Node, bcfg batch.Config) {
 	n.runner = batch.NewRunner(n.kernel, bcfg)
-	n.kernel.SetOOMHandler(n.runner.HandleOOM)
 }
 
 // stopBatchRunner halts the node's batch co-tenants and their registry
 // refresh; a no-op when none run.
 func (c *Cluster) stopBatchRunner(n *Node) {
-	if n.refresh != nil {
-		n.refresh.Stop()
-		n.refresh = nil
-	}
 	if n.runner != nil {
 		n.runner.Stop()
 		n.runner = nil
-		n.kernel.SetOOMHandler(nil)
 	}
 }
 
@@ -390,71 +386,22 @@ func (c *Cluster) startPressure(n *Node, pcfg workload.PressureConfig) {
 }
 
 // stopPressure halts the node's pressure generator; a no-op when none runs.
+// The generator stays registered: its files stay cached after Stop, and
+// the registry is add-only (batch.Runner.RegisterEvery says why).
 func (c *Cluster) stopPressure(n *Node) {
-	if n.pressure == nil {
-		return
+	if n.pressure != nil {
+		n.pressure.Stop()
+		n.pressure = nil
 	}
-	pid := n.pressure.PID()
-	n.pressure.Stop()
-	n.pressure = nil
-	if n.registry == nil {
-		return
-	}
-	// Deregister only if the dead generator left no resident cache: file
-	// pressure's working set stays cached after Stop, and the daemon can
-	// only release cache owned by registered batch PIDs — the same
-	// invariant the batch refresh prune keeps for churned containers.
-	for _, f := range n.kernel.FilesOwnedBy(pid) {
-		if !f.Deleted() && f.CachedPages() > 0 {
-			return
-		}
-	}
-	n.registry.RemoveBatch(pid)
 }
 
 // attachBatchRefresh wires the administrator's periodic batch registration
 // (§3.3) for a node running both a registry and a batch runner; a no-op
-// otherwise, or when already attached.
-func (c *Cluster) attachBatchRefresh(node *Node) {
-	if node.registry == nil || node.runner == nil || node.refresh != nil {
-		return
+// otherwise.
+func (c *Cluster) attachBatchRefresh(n *Node) {
+	if n.registry != nil && n.runner != nil {
+		n.runner.RegisterEvery(n.registry, 500*simtime.Millisecond)
 	}
-	// The administrator registers batch containers; containers churn, so
-	// the registration refreshes periodically (§3.3).
-	cacheOwners := make(map[kernel.PID]bool)
-	register := func() {
-		for _, pid := range node.runner.PIDs() {
-			node.registry.AddBatch(pid)
-		}
-		for _, pid := range node.runner.InputFilePIDs() {
-			node.registry.AddBatch(pid)
-		}
-		// Prune churned containers so the registry doesn't grow
-		// without bound — but keep dead PIDs that still own cached
-		// files: completed jobs leave their input cache resident
-		// (§2.3) and the daemon must stay able to release it. One
-		// pass over the node's files finds those owners.
-		clear(cacheOwners)
-		for _, f := range node.kernel.Files() {
-			if f.CachedPages() > 0 {
-				cacheOwners[f.OwnerPID] = true
-			}
-		}
-		for _, pid := range node.registry.BatchPIDs() {
-			if p := node.kernel.Process(pid); p != nil && !p.Dead() {
-				continue
-			}
-			if !cacheOwners[pid] {
-				node.registry.RemoveBatch(pid)
-			}
-		}
-	}
-	register()
-	node.refresh = simtime.NewPeriodicTask(node.sched, 500*simtime.Millisecond,
-		func(simtime.Time) simtime.Duration {
-			register()
-			return 10 * simtime.Microsecond
-		})
 }
 
 // startDaemon launches the monitor daemon on the node (requires a

@@ -229,6 +229,11 @@ func (c *Cluster) validateScenario(scn workload.Scenario) error {
 			return fmt.Errorf("cluster: scenario %q event %d (%s): the monitor daemon requires the hermes allocator (cluster runs %q)",
 				scn.Name, i, e.Kind, c.cfg.Allocator)
 		}
+		if e.Kind == workload.EventPressureStart {
+			if err := eventPressure(e).CheckNode(c.cfg.Kernel.TotalMemory); err != nil {
+				return fmt.Errorf("cluster: scenario %q event %d (%s): %w", scn.Name, i, e.Kind, err)
+			}
+		}
 	}
 	if scn.Policies != nil && scn.Policies.Allocator != nil && c.cfg.Allocator != AllocHermes {
 		return fmt.Errorf("cluster: scenario %q: the allocator policy requires the hermes allocator (cluster runs %q)",
@@ -331,6 +336,15 @@ func (c *Cluster) fireEventsUpTo(sr *scenarioRun, n *Node, upTo simtime.Time) {
 	}
 }
 
+// eventPressure is the generator a pressure-start event launches: its own
+// config, or the anonymous-pressure default.
+func eventPressure(e workload.Event) workload.PressureConfig {
+	if e.Pressure != nil {
+		return *e.Pressure
+	}
+	return workload.DefaultPressureConfig(workload.PressureAnon)
+}
+
 // applyEvent applies one timeline action to a node at the node's current
 // virtual time.
 func (c *Cluster) applyEvent(sr *scenarioRun, n *Node, ne nodeEvent) {
@@ -338,11 +352,7 @@ func (c *Cluster) applyEvent(sr *scenarioRun, n *Node, ne nodeEvent) {
 	switch ev.Kind {
 	case workload.EventPressureStart:
 		c.stopPressure(n)
-		pcfg := workload.DefaultPressureConfig(workload.PressureAnon)
-		if ev.Pressure != nil {
-			pcfg = *ev.Pressure
-		}
-		c.startPressure(n, pcfg)
+		c.startPressure(n, eventPressure(ev))
 	case workload.EventPressureStop:
 		c.stopPressure(n)
 	case workload.EventBatchStart:

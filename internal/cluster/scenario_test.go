@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -115,6 +116,56 @@ func TestScenarioEventsBite(t *testing.T) {
 	if stormy.Phases[2].Requests != 6_000 {
 		t.Errorf("request-bounded phase served %d, want 6000", stormy.Phases[2].Requests)
 	}
+
+	// A file generator's files stay cached after it stops, so a second
+	// file generator on the node must not collide with them: after a stop
+	// (node 0) and in place of a running one (node 2).
+	file := workload.DefaultPressureConfig(workload.PressureFile)
+	file.FileBytes = 100 << 20
+	restarts := calm
+	restarts.Events = []workload.Event{
+		{At: 10 * simtime.Millisecond, Node: 0, Kind: workload.EventPressureStart, Pressure: &file},
+		{At: 10 * simtime.Millisecond, Node: 2, Kind: workload.EventPressureStart, Pressure: &file},
+		{At: 50 * simtime.Millisecond, Node: 0, Kind: workload.EventPressureStop},
+		{At: 60 * simtime.Millisecond, Node: 0, Kind: workload.EventPressureStart, Pressure: &file},
+		{At: 60 * simtime.Millisecond, Node: 2, Kind: workload.EventPressureStart, Pressure: &file},
+	}
+	runScenario(t, cfg, restarts)
+}
+
+// TestBatchRestartTakesOOM: a batch-start event that replaces a running
+// runner makes the new runner the node's OOM victim, so a later allocation
+// past the swapless node's memory kills the new runner's containers.
+func TestBatchRestartTakesOOM(t *testing.T) {
+	cfg, scn := eventScenario()
+	cfg.Nodes = 1
+	cfg.Kernel.SwapBytes = 0
+	bcfg := batch.Config{Jobs: 3, ContainersPerJob: 4, TargetBytes: 512 << 20,
+		InputBytes: 8 << 20, WorkDuration: simtime.Second,
+		RampTicks: 3, TickPeriod: 10 * simtime.Millisecond}
+	cfg.Batch = &bcfg
+	scn.Phases = scn.Phases[:1]
+	scn.Events = []workload.Event{{At: 20 * simtime.Millisecond, Node: 0, Kind: workload.EventBatchStart, Batch: &bcfg}}
+	c := New(cfg)
+	defer c.Close()
+	n := c.Nodes()[0]
+	first := n.runner
+	if _, err := c.RunScenario(scn); err != nil {
+		t.Fatal(err)
+	}
+	if n.runner == first {
+		t.Fatal("the batch-start event did not replace the runner")
+	}
+	k := n.Kernel()
+	hog := k.CreateProcess("hog")
+	pages := k.TotalPages() * 3 / 4
+	region, _ := k.Mmap(n.Now(), hog, pages)
+	k.FaultIn(n.Now(), region, pages)
+	if first.OOMKills != 0 || n.runner.OOMKills == 0 {
+		t.Fatalf("OOM kills: %d on the replaced runner, %d on its replacement; want 0 and > 0",
+			first.OOMKills, n.runner.OOMKills)
+	}
+	k.CheckInvariants()
 }
 
 // TestScenarioValidationUpFront: malformed scenarios and events targeting
@@ -141,6 +192,22 @@ func TestScenarioValidationUpFront(t *testing.T) {
 	bad.Phases = nil
 	if _, err := c.RunScenario(bad); err == nil || !strings.Contains(err.Error(), "at least one phase") {
 		t.Errorf("empty scenario: got %v", err)
+	}
+
+	// Pressure the 1 GB nodes cannot carry: 2 GB files are read whole,
+	// and a 5000 MB free buffer leaves the fill nothing to take.
+	bigFiles := workload.DefaultPressureConfig(workload.PressureFile)
+	bigFiles.FileBytes = 20480 << 20
+	bigBuffer := workload.DefaultPressureConfig(workload.PressureAnon)
+	bigBuffer.FreeBytes = 5000 << 20
+	for _, p := range []*workload.PressureConfig{&bigFiles, &bigBuffer} {
+		bad = scn
+		bad.Events = append(append([]workload.Event(nil), scn.Events...),
+			workload.Event{At: 0, Node: 0, Kind: workload.EventPressureStart, Pressure: p})
+		want := fmt.Sprintf("event %d (pressure-start): workload: %v pressure", len(scn.Events), p.Kind)
+		if _, err := c.RunScenario(bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v pressure past the node: got %v, want an error containing %q", p.Kind, err, want)
+		}
 	}
 }
 

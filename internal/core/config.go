@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/hermes-sim/hermes/internal/simtime"
 )
@@ -87,14 +88,14 @@ func (c Config) validate() error {
 	if c.Interval <= 0 {
 		return fmt.Errorf("core: non-positive interval %v", c.Interval)
 	}
-	if c.ReservationFactor <= 0 {
-		return fmt.Errorf("core: non-positive reservation factor %v", c.ReservationFactor)
+	if !(0 < c.ReservationFactor && c.ReservationFactor <= math.MaxFloat64) {
+		return fmt.Errorf("core: ReservationFactor must be finite and > 0 (got %v)", c.ReservationFactor)
 	}
 	if c.MinReserve < 0 || c.GradualChunkFloor <= 0 {
 		return fmt.Errorf("core: bad reserve sizes min=%d floor=%d", c.MinReserve, c.GradualChunkFloor)
 	}
-	if c.RsvThrFraction <= 0 || c.RsvThrFraction >= 1 {
-		return fmt.Errorf("core: RsvThrFraction %v out of (0,1)", c.RsvThrFraction)
+	if !(0 < c.RsvThrFraction && c.RsvThrFraction < 1) {
+		return fmt.Errorf("core: RsvThrFraction must be in (0, 1) (got %v)", c.RsvThrFraction)
 	}
 	if c.TableSize <= 0 || c.MinMmapSize <= 0 {
 		return fmt.Errorf("core: bad pool geometry table=%d minMmap=%d", c.TableSize, c.MinMmapSize)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/hermes-sim/hermes/internal/alloc"
@@ -372,19 +375,26 @@ func TestHermesStatsCounters(t *testing.T) {
 func TestInvalidConfigPanics(t *testing.T) {
 	s := simtime.NewScheduler()
 	k := kernel.New(s, kernel.DefaultConfig())
-	cases := []func(*Config){
-		func(c *Config) { c.Interval = 0 },
-		func(c *Config) { c.ReservationFactor = 0 },
-		func(c *Config) { c.GradualChunkFloor = 0 },
-		func(c *Config) { c.TableSize = 0 },
+	// Each case names a word its panic message must carry.
+	cases := []struct {
+		word   string
+		mutate func(*Config)
+	}{
+		{"interval", func(c *Config) { c.Interval = 0 }},
+		{"ReservationFactor", func(c *Config) { c.ReservationFactor = 0 }},
+		{"ReservationFactor", func(c *Config) { c.ReservationFactor = math.NaN() }},
+		{"ReservationFactor", func(c *Config) { c.ReservationFactor = math.Inf(1) }},
+		{"RsvThrFraction", func(c *Config) { c.RsvThrFraction = math.NaN() }},
+		{"floor", func(c *Config) { c.GradualChunkFloor = 0 }},
+		{"table", func(c *Config) { c.TableSize = 0 }},
 	}
-	for i, mutate := range cases {
+	for i, tc := range cases {
 		cfg := DefaultConfig()
-		mutate(&cfg)
+		tc.mutate(&cfg)
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: invalid config must panic", i)
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.word) {
+					t.Errorf("case %d: invalid config must panic naming %q (got %q)", i, tc.word, msg)
 				}
 			}()
 			New(k, "x", cfg)

@@ -79,16 +79,12 @@ func runServiceCell(svcKind ServiceKind, allocKind AllocKind, level float64, rec
 		// Jobs churn a few times within one service run.
 		bcfg.WorkDuration = 20 * simtime.Second
 		runner = batch.NewRunner(k, bcfg)
-		k.SetOOMHandler(runner.HandleOOM)
 	}
 
 	env := newAllocEnv(k, allocKind, string(svcKind), nil, nil)
 	defer env.close()
-	if refresh := env.refreshBatch(s, runner, 500*simtime.Millisecond); refresh != nil {
-		defer refresh.Stop()
-		for _, pid := range runner.PIDs() {
-			env.reg.AddBatch(pid)
-		}
+	if env.reg != nil && runner != nil {
+		runner.RegisterEvery(env.reg, 500*simtime.Millisecond)
 	}
 
 	name := fmt.Sprintf("%s-%s-%s", svcKind, allocKind, SizeLabel(recordBytes))

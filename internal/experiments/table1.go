@@ -72,7 +72,6 @@ func runTable1Cell(svcKind ServiceKind, scenario Table1Scenario, scale Scale, se
 		}
 		runner = batch.NewRunner(k, bcfg)
 		runner.Killing = scenario == Table1Killing
-		k.SetOOMHandler(runner.HandleOOM)
 	}
 
 	allocKind := KindGlibc
@@ -81,8 +80,8 @@ func runTable1Cell(svcKind ServiceKind, scenario Table1Scenario, scale Scale, se
 	}
 	env := newAllocEnv(k, allocKind, string(svcKind), nil, nil)
 	defer env.close()
-	if refresh := env.refreshBatch(s, runner, simtime.Second); refresh != nil {
-		defer refresh.Stop()
+	if env.reg != nil && runner != nil {
+		runner.RegisterEvery(env.reg, simtime.Second)
 	}
 
 	svc := newService(k, svcKind, env, scale, fmt.Sprintf("t1-%s-%s", svcKind, scenario))

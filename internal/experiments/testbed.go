@@ -12,7 +12,6 @@ import (
 	"github.com/hermes-sim/hermes/internal/alloc/glibcmalloc"
 	"github.com/hermes-sim/hermes/internal/alloc/jemalloc"
 	"github.com/hermes-sim/hermes/internal/alloc/tcmalloc"
-	"github.com/hermes-sim/hermes/internal/batch"
 	"github.com/hermes-sim/hermes/internal/core"
 	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/monitor"
@@ -115,25 +114,6 @@ func (e *allocEnv) close() {
 		e.daemon.Stop()
 	}
 	e.a.Close()
-}
-
-// refreshBatch registers the batch runner's containers and input-file
-// owners with the Hermes registry every period: the administrator
-// registers batch containers, and containers churn (§3.3). It returns nil
-// when there is no registry or no batch runner.
-func (e *allocEnv) refreshBatch(s *simtime.Scheduler, runner *batch.Runner, period simtime.Duration) *simtime.PeriodicTask {
-	if e.reg == nil || runner == nil {
-		return nil
-	}
-	return simtime.NewPeriodicTask(s, period, func(simtime.Time) simtime.Duration {
-		for _, pid := range runner.PIDs() {
-			e.reg.AddBatch(pid)
-		}
-		for _, pid := range runner.InputFilePIDs() {
-			e.reg.AddBatch(pid)
-		}
-		return 10 * simtime.Microsecond
-	})
 }
 
 // newAllocEnv instantiates the allocator under test, with an optional

@@ -37,8 +37,11 @@ func (c Config) Validate() error {
 	if c.Period <= 0 {
 		return fmt.Errorf("monitor: Period must be > 0 (got %v)", c.Period)
 	}
-	if c.AdvThreshold <= 0 || c.AdvThreshold > 1 {
+	if !(0 < c.AdvThreshold && c.AdvThreshold <= 1) {
 		return fmt.Errorf("monitor: AdvThreshold must be in (0, 1] (got %v)", c.AdvThreshold)
+	}
+	if !(0 <= c.FileCacheTarget && c.FileCacheTarget < 1) {
+		return fmt.Errorf("monitor: FileCacheTarget must be in [0, 1) (got %v)", c.FileCacheTarget)
 	}
 	return nil
 }

@@ -2,9 +2,11 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/hermes-sim/hermes/internal/kernel"
@@ -19,6 +21,35 @@ func newTestNode(t testing.TB) (*kernel.Kernel, *simtime.Scheduler) {
 	cfg.SwapBytes = 128 << 20
 	k := kernel.New(s, cfg)
 	return k, s
+}
+
+// TestConfigValidateRanges: NaN and out-of-range fractions are rejected by
+// field name; the default and a zero cache target are valid.
+func TestConfigValidateRanges(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"AdvThreshold", func(c *Config) { c.AdvThreshold = math.NaN() }},
+		{"FileCacheTarget", func(c *Config) { c.FileCacheTarget = math.NaN() }},
+		{"FileCacheTarget", func(c *Config) { c.FileCacheTarget = -3 }},
+		{"FileCacheTarget", func(c *Config) { c.FileCacheTarget = 1 }},
+		{"FileCacheTarget", func(c *Config) { c.FileCacheTarget = math.Inf(1) }},
+	} {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: got %v, want an error naming %s", cfg, err, tc.field)
+		}
+	}
+	cfg := DefaultConfig()
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("default config: %v", err)
+	}
+	cfg.FileCacheTarget = 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("zero FileCacheTarget: %v", err)
+	}
 }
 
 func TestRegistrySets(t *testing.T) {

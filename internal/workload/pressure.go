@@ -140,10 +140,11 @@ func StartPressure(k *kernel.Kernel, cfg PressureConfig) *Pressure {
 	if cfg.Kind == PressureFile {
 		// Load the working files: they fill the page cache and stay there
 		// after reading (the paper's generator repeatedly reads 10 GB of
-		// files).
+		// files). They outlive Stop, so the names carry the generator's
+		// PID: a later generator on the node must not collide with them.
 		pages := cfg.FileBytes / k.PageSize()
 		for i := 0; i < pressureFiles; i++ {
-			f := k.CreateFile(fmt.Sprintf("pressure-file-%d", i), pages/pressureFiles, p.proc.PID)
+			f := k.CreateFile(fmt.Sprintf("pressure-%d-file-%d", p.proc.PID, i), pages/pressureFiles, p.proc.PID)
 			k.ReadFile(s.Now(), f, pages/pressureFiles)
 			p.files = append(p.files, f)
 		}
