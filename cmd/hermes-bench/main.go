@@ -32,10 +32,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	hermes "github.com/hermes-sim/hermes"
+	"github.com/hermes-sim/hermes/internal/experiments"
 )
 
 func main() {
@@ -108,44 +110,13 @@ func run() error {
 		return fmt.Errorf("unknown scale %q", *scaleFlag)
 	}
 
-	type experiment struct {
-		name string
-		run  func() string
-	}
-	all := []experiment{
-		{"fig2", func() string { return hermes.Fig2(scale, *seed).Render() }},
-		{"fig3", func() string { return hermes.Fig3(scale, *seed).Render() }},
-		{"fig6", func() string { return hermes.Fig6Ablation(scale, *seed).Render() }},
-		{"fig7", func() string { return hermes.Fig7(scale, *seed).Render() }},
-		{"fig8", func() string { return hermes.Fig8(scale, *seed).Render() }},
-		{"fig9", func() string {
-			f := hermes.Fig9(scale, *seed)
-			return f.RenderLatency("Figure 9") + "\n" + f.RenderTail("Figure 11") + "\n" + f.RenderViolation("Figure 13")
-		}},
-		{"fig10", func() string {
-			f := hermes.Fig10(scale, *seed)
-			return f.RenderLatency("Figure 10") + "\n" + f.RenderTail("Figure 12") + "\n" + f.RenderViolation("Figure 14")
-		}},
-		{"fig15", func() string { return hermes.Fig15(scale, *seed).Render() }},
-		{"fig16", func() string { return hermes.Fig16(scale, *seed).Render() }},
-		{"table1", func() string { return hermes.Table1(scale, *seed).Render() }},
-		{"overhead", func() string { return hermes.Overhead(scale, *seed).Render() }},
-		{"mlock", func() string { return hermes.MlockAblation(scale, *seed).Render() }},
-	}
-
 	selected := map[string]bool{}
 	if *runFlag != "" {
 		for _, name := range strings.Split(*runFlag, ",") {
 			selected[strings.TrimSpace(name)] = true
 		}
 		for name := range selected {
-			found := false
-			for _, e := range all {
-				if e.name == name {
-					found = true
-				}
-			}
-			if !found {
+			if !slices.ContainsFunc(experiments.Artifacts, func(a experiments.Artifact) bool { return a.Name == name }) {
 				return fmt.Errorf("unknown experiment %q", name)
 			}
 		}
@@ -162,18 +133,18 @@ func run() error {
 	if !*jsonOut {
 		fmt.Printf("hermes-bench scale=%s seed=%d\n\n", scale.Name, *seed)
 	}
-	for _, e := range all {
-		if len(selected) > 0 && !selected[e.name] {
+	for _, a := range experiments.Artifacts {
+		if len(selected) > 0 && !selected[a.Name] {
 			continue
 		}
 		start := time.Now()
-		out := e.run()
+		out := a.Render(scale, *seed)
 		wall := time.Since(start)
 		if *jsonOut {
-			jsonReports = append(jsonReports, jsonExperiment{Name: e.name, WallMS: ms(wall), Output: out})
+			jsonReports = append(jsonReports, jsonExperiment{Name: a.Name, WallMS: ms(wall), Output: out})
 			continue
 		}
-		fmt.Printf("=== %s (wall %v) ===\n%s\n", e.name, wall.Round(time.Millisecond), out)
+		fmt.Printf("=== %s (wall %v) ===\n%s\n", a.Name, wall.Round(time.Millisecond), out)
 	}
 	if *jsonOut {
 		return writeJSON(os.Stdout, struct {

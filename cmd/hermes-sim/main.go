@@ -1,5 +1,6 @@
-// hermes-sim runs one ad-hoc micro-benchmark cell: pick a node size, an
-// allocator, a pressure regime and a request size, get the latency digest.
+// hermes-sim runs one ad-hoc micro-benchmark cell, the same cell as the
+// paper's Figs 3 and 7: pick a node size, an allocator, a pressure regime
+// and a request size, get the latency digest.
 //
 // Usage:
 //
@@ -13,9 +14,10 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	hermes "github.com/hermes-sim/hermes"
+	"github.com/hermes-sim/hermes/internal/experiments"
+	"github.com/hermes-sim/hermes/internal/kernel"
+	"github.com/hermes-sim/hermes/internal/stats"
 )
 
 func main() {
@@ -49,66 +51,56 @@ func run() error {
 		return fmt.Errorf("-total %d bytes is less than -request %d", total, *request)
 	}
 
-	cfg := hermes.DefaultNodeConfig()
-	cfg.Kernel.TotalMemory = mem
-	cfg.Kernel.Seed = *seed
-	if err := cfg.Kernel.Validate(); err != nil {
+	kcfg := kernel.DefaultConfig()
+	kcfg.TotalMemory = mem
+	kcfg.Seed = *seed
+	if err := kcfg.Validate(); err != nil {
 		return fmt.Errorf("-mem: %w", err)
 	}
-	var pcfg *hermes.PressureConfig
-	switch *pressureFlag {
-	case "none":
-	case "anon", "file":
-		kind := hermes.PressureAnon
-		if *pressureFlag == "file" {
-			kind = hermes.PressureFile
-		}
-		c := hermes.DefaultPressureConfig(kind)
-		if err := c.CheckNode(mem); err != nil {
-			return fmt.Errorf("-mem %s: %w", *memFlag, err)
-		}
-		pcfg = &c
-	default:
+	scenario, ok := scenarios[*pressureFlag]
+	if !ok {
 		return fmt.Errorf("unknown pressure %q", *pressureFlag)
 	}
-	node := hermes.NewNode(cfg)
-
-	var pressure *hermes.Pressure
-	if pcfg != nil {
-		pressure = node.StartPressure(*pcfg)
+	if pcfg, ok := experiments.MicroPressure(scenario, total); ok {
+		if err := pcfg.CheckNode(mem); err != nil {
+			return fmt.Errorf("-mem %s: %w", *memFlag, err)
+		}
 	}
-
-	var a hermes.Allocator
-	switch strings.ToLower(*allocFlag) {
-	case "hermes":
-		a = node.NewHermesAllocator("sim")
-	case "glibc":
-		a = node.NewGlibcAllocator("sim")
-	case "jemalloc":
-		a = node.NewJemallocAllocator("sim")
-	case "tcmalloc":
-		a = node.NewTCMallocAllocator("sim")
-	default:
+	kind, ok := allocKinds[strings.ToLower(*allocFlag)]
+	if !ok {
 		return fmt.Errorf("unknown allocator %q", *allocFlag)
 	}
-	defer a.Close()
 
-	node.Advance(20 * time.Millisecond)
-	rec := hermes.NewRecorder(*allocFlag)
-	node.RunMicroBench(a, *request, total, rec)
-	if pressure != nil {
-		pressure.Stop()
-	}
+	cell := experiments.NewMicroCell(kcfg, kind, scenario, total, nil)
+	defer cell.Close()
+	rec := stats.NewRecorder(*allocFlag)
+	cell.Run(*request, rec)
 
 	fmt.Println(rec.Summarize())
-	st := a.Stats()
+	st := cell.Allocator().Stats()
 	fmt.Printf("allocator: %d mallocs, %.1f MB requested, heap %.1f MB, mmapped %.1f MB, reserved %.1f MB\n",
 		st.Mallocs, mb(st.BytesRequested), mb(st.HeapBytes), mb(st.MmapBytes), mb(st.ReservedBytes))
-	ks := node.Kernel().Stats()
+	ks := cell.Kernel.Stats()
 	fmt.Printf("kernel: %d minor faults, %d major, %d direct reclaims, %d pages swapped out\n",
 		ks.MinorFaults, ks.MajorFaults, ks.DirectReclaims, ks.PagesSwapOut)
 	return nil
 }
+
+// scenarios and allocKinds map the -pressure and -alloc values to the
+// experiments' micro cell.
+var (
+	scenarios = map[string]experiments.Scenario{
+		"none": experiments.ScenarioDedicated,
+		"anon": experiments.ScenarioAnon,
+		"file": experiments.ScenarioFile,
+	}
+	allocKinds = map[string]experiments.AllocKind{
+		"hermes":   experiments.KindHermes,
+		"glibc":    experiments.KindGlibc,
+		"jemalloc": experiments.KindJemalloc,
+		"tcmalloc": experiments.KindTCMalloc,
+	}
+)
 
 func mb(v int64) float64 { return float64(v) / (1 << 20) }
 

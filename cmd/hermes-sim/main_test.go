@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -26,7 +27,7 @@ func TestCLIRejectsBadSizes(t *testing.T) {
 		{[]string{"-mem", "1KB"}, "-mem", "kernel: bad memory geometry: total=1024 page=4096"},
 		{[]string{"-total", "9000000000GB"}, "-total", `bad size "9000000000GB": overflows int64`},
 		{[]string{"-mem", "1023MB", "-pressure", "file", "-total", "1MB"}, "-mem", "file pressure reads 1024 MB files whole, more than the node's 1023 MB"},
-		{[]string{"-mem", "300MB", "-pressure", "anon"}, "-mem", "anon pressure needs a node above its 300 MB free buffer (node has 300 MB)"},
+		{[]string{"-mem", "18MB", "-pressure", "anon"}, "-mem", "anon pressure needs a node above its 18 MB free buffer (node has 18 MB)"},
 	} {
 		name := strings.Join(tc.args, " ")
 		t.Run(name, func(t *testing.T) {
@@ -51,6 +52,31 @@ func TestCLIRejectsBadSizes(t *testing.T) {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil || !strings.Contains(string(out), "n=1024") {
 			t.Fatalf("%s: %v\n%s", strings.Join(args, " "), err, out)
 		}
+	}
+}
+
+// TestCLIPressureBites: -pressure runs the experiments' micro cell, whose
+// free buffer scales with -total, so anonymous pressure drains it, swaps
+// and moves the digest off the dedicated run's, as in Fig 3.
+func TestCLIPressureBites(t *testing.T) {
+	bin := buildCLI(t)
+	run := func(pressure string) (digest, kernel string) {
+		out, err := exec.Command(bin, "-alloc", "glibc", "-pressure", pressure, "-total", "64MB").Output()
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		if err != nil || len(lines) != 3 {
+			t.Fatalf("-pressure %s: %v\n%s", pressure, err, out)
+		}
+		return lines[0], lines[2]
+	}
+	none, _ := run("none")
+	anon, kernel := run("anon")
+	if anon == none {
+		t.Fatalf("-pressure anon printed the dedicated digest %q", none)
+	}
+	var minor, major, reclaims, swapped int64
+	if _, err := fmt.Sscanf(kernel, "kernel: %d minor faults, %d major, %d direct reclaims, %d pages swapped out",
+		&minor, &major, &reclaims, &swapped); err != nil || swapped == 0 {
+		t.Fatalf("-pressure anon swapped nothing out: %q (%v)", kernel, err)
 	}
 }
 

@@ -4,50 +4,31 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	hermes "github.com/hermes-sim/hermes"
+	"github.com/hermes-sim/hermes/internal/experiments"
+	"github.com/hermes-sim/hermes/internal/kernel"
+	"github.com/hermes-sim/hermes/internal/stats"
 )
 
 func main() {
 	const reqSize, totalBytes = 1024, 64 << 20
-	names := []string{"Hermes", "Glibc", "jemalloc", "TCMalloc"}
-	results := make(map[string]*hermes.Recorder)
+	results := make(map[experiments.AllocKind]*stats.Recorder)
 
-	for _, name := range names {
-		node := hermes.NewNode(hermes.DefaultNodeConfig())
-
-		// Anonymous-page pressure: a co-tenant burns memory down to a thin
-		// free buffer and holds it.
-		pcfg := hermes.DefaultPressureConfig(hermes.PressureAnon)
-		pcfg.FreeBytes = 64 << 20
-		pressure := node.StartPressure(pcfg)
-
-		var a hermes.Allocator
-		switch name {
-		case "Hermes":
-			a = node.NewHermesAllocator("bench")
-		case "Glibc":
-			a = node.NewGlibcAllocator("bench")
-		case "jemalloc":
-			a = node.NewJemallocAllocator("bench")
-		case "TCMalloc":
-			a = node.NewTCMallocAllocator("bench")
-		}
-		node.Advance(20 * time.Millisecond)
-
-		rec := hermes.NewRecorder(name)
-		node.RunMicroBench(a, reqSize, totalBytes, rec)
-		results[name] = rec
-		pressure.Stop()
-		a.Close()
+	// Anonymous-page pressure: a co-tenant burns memory down to a thin
+	// free buffer and holds it.
+	for _, kind := range experiments.AllAllocKinds {
+		cell := experiments.NewMicroCell(kernel.DefaultConfig(), kind, experiments.ScenarioAnon, totalBytes, nil)
+		rec := stats.NewRecorder(string(kind))
+		cell.Run(reqSize, rec)
+		cell.Close()
+		results[kind] = rec
 	}
 
 	fmt.Println("1KB allocation latency under anonymous-page pressure:")
 	fmt.Printf("%-10s %-10s %-10s %-10s %-10s %-10s\n", "", "avg", "p50", "p90", "p99", "max")
-	for _, name := range names {
-		s := results[name].Summarize()
+	for _, kind := range experiments.AllAllocKinds {
+		s := results[kind].Summarize()
 		fmt.Printf("%-10s %-10v %-10v %-10v %-10v %-10v\n",
-			name, s.Mean, s.P50, s.P90, s.P99, s.Max)
+			kind, s.Mean, s.P50, s.P90, s.P99, s.Max)
 	}
 }

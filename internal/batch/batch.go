@@ -319,8 +319,9 @@ func (r *Runner) tick(now simtime.Time) simtime.Duration {
 				}
 			}
 			// Iterating over its resident data is the job's compute;
-			// swapped-out pages stall it further.
-			if c.region != nil && c.ramped > 0 {
+			// swapped-out pages stall it further. A ramp fault whose OOM
+			// killed this container leaves nothing to iterate.
+			if c.region != nil && c.ramped > 0 && !c.proc.Dead() {
 				stall += r.k.Access(now.Add(busy+stall), c.region, c.ramped/8)
 			}
 			busy += stall

@@ -233,11 +233,16 @@ func TestRegisterEvery(t *testing.T) {
 	if got := s.Pending(); got != idle {
 		t.Fatalf("%d events pending after Stop, want the idle node's %d", got, idle)
 	}
-	n := len(reg.BatchPIDs())
-	r.RegisterEvery(reg, 500*simtime.Millisecond)
+	after := monitor.NewRegistry()
+	r.RegisterEvery(after, 500*simtime.Millisecond)
 	s.Advance(2 * simtime.Second)
-	if got := len(reg.BatchPIDs()); got != n || s.Pending() != idle {
-		t.Fatalf("registrations ran after Stop: %d PIDs (was %d), %d events pending", got, n, s.Pending())
+	for _, pid := range append(first, owner.PID, sibling) {
+		if after.IsBatch(pid) {
+			t.Fatalf("registrations ran after Stop: PID %d registered", pid)
+		}
+	}
+	if s.Pending() != idle {
+		t.Fatalf("registrations ran after Stop: %d events pending", s.Pending())
 	}
 }
 

@@ -133,10 +133,10 @@ func TestScenarioEventsBite(t *testing.T) {
 	runScenario(t, cfg, restarts)
 }
 
-// TestBatchRestartTakesOOM: a batch-start event that replaces a running
-// runner makes the new runner the node's OOM victim, so a later allocation
-// past the swapless node's memory kills the new runner's containers.
-func TestBatchRestartTakesOOM(t *testing.T) {
+// swaplessBatchScenario is one swapless 1 GB node running batch co-tenants
+// through the warm phase, with a batch-start event at 20 ms that replaces
+// the runner.
+func swaplessBatchScenario() (Config, workload.Scenario) {
 	cfg, scn := eventScenario()
 	cfg.Nodes = 1
 	cfg.Kernel.SwapBytes = 0
@@ -146,6 +146,14 @@ func TestBatchRestartTakesOOM(t *testing.T) {
 	cfg.Batch = &bcfg
 	scn.Phases = scn.Phases[:1]
 	scn.Events = []workload.Event{{At: 20 * simtime.Millisecond, Node: 0, Kind: workload.EventBatchStart, Batch: &bcfg}}
+	return cfg, scn
+}
+
+// TestBatchRestartTakesOOM: a batch-start event that replaces a running
+// runner makes the new runner the node's OOM victim, so a later allocation
+// past the swapless node's memory kills the new runner's containers.
+func TestBatchRestartTakesOOM(t *testing.T) {
+	cfg, scn := swaplessBatchScenario()
 	c := New(cfg)
 	defer c.Close()
 	n := c.Nodes()[0]
@@ -166,6 +174,27 @@ func TestBatchRestartTakesOOM(t *testing.T) {
 			first.OOMKills, n.runner.OOMKills)
 	}
 	k.CheckInvariants()
+}
+
+// TestRampOOMKillsFaultingContainer: a squeeze that leaves a swapless node
+// no room makes a container's own ramp fault run out of memory, and the OOM
+// policy kills that same container, the newest. The fault hands its pages
+// back instead of mapping them into the dead region, and the runner's tick
+// skips the dead container, so the run completes with the kernel's page
+// accounting intact.
+func TestRampOOMKillsFaultingContainer(t *testing.T) {
+	cfg, scn := swaplessBatchScenario()
+	scn.Events = append(scn.Events, workload.Event{At: 80 * simtime.Millisecond, Node: 0, Kind: workload.EventSqueezeStart, Bytes: 700 << 20})
+	c := New(cfg)
+	defer c.Close()
+	if _, err := c.RunScenario(scn); err != nil {
+		t.Fatal(err)
+	}
+	n := c.Nodes()[0]
+	if n.runner.OOMKills == 0 {
+		t.Fatal("no OOM kill: the squeeze never starved the ramp")
+	}
+	n.Kernel().CheckInvariants()
 }
 
 // TestScenarioValidationUpFront: malformed scenarios and events targeting

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/hermes-sim/hermes/internal/core"
-	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/stats"
 	"github.com/hermes-sim/hermes/internal/workload"
@@ -52,26 +51,28 @@ func runFig6Cell(scale Scale, seed uint64, atOnce bool) (stats.Summary, time.Dur
 	// expansion is mid-flight — the race of Fig 6.
 	cfg.MinReserve = 1 << 20
 	cfg.RsvThrFraction = 0.1
-	k, s, _, env := newMicroCell(KindHermes, ScenarioDedicated, scale.MicroTotalBytes, seed, &cfg)
-	defer env.close()
+	c := NewMicroCell(microConfig(seed), KindHermes, ScenarioDedicated, scale.MicroTotalBytes, &cfg)
+	defer c.Close()
+	s, a := c.Sched, c.env.a
 	s.Advance(10 * simtime.Millisecond)
 	rec := stats.NewRecorder("ablation")
-	rng := k.RNG()
+	rng := c.Kernel.RNG()
 	var requested int64
 	burst := int64(512) // 2 MB per burst: exceeds the reserve target
 	for requested < scale.MicroTotalBytes {
 		for i := int64(0); i < burst; i++ {
-			b, c1 := env.a.Malloc(s.Now(), 4096)
-			c2 := env.a.Touch(s.Now().Add(c1), b)
-			env.a.Drop(b)
+			b, c1 := a.Malloc(s.Now(), 4096)
+			c2 := a.Touch(s.Now().Add(c1), b)
+			a.Drop(b)
 			rec.Record(c1 + c2)
 			s.Advance(c1 + c2)
 			requested += 4096
 		}
 		s.Advance(simtime.Duration(float64(4*simtime.Millisecond) * rng.Float64()))
 	}
-	_, waited := env.hermes.Glibc().BreakLock().Contention()
-	return rec.Summarize(), time.Duration(env.hermes.MgmtStats().MaxLockHold), time.Duration(waited)
+	h := c.env.hermes
+	_, waited := h.Glibc().BreakLock().Contention()
+	return rec.Summarize(), time.Duration(h.MgmtStats().MaxLockHold), time.Duration(waited)
 }
 
 // Render prints the comparison.
@@ -108,23 +109,19 @@ func MlockAblation(scale Scale, seed uint64) MlockAblationResult {
 // management thread's total busy time, with mapping construction priced
 // either as mlock (the design) or as a touch loop (the ablation).
 func mlockRun(scale Scale, seed uint64, touchPricing bool) time.Duration {
-	s := simtime.NewScheduler()
-	kcfg := kernel.DefaultConfig()
-	kcfg.Seed = seed
+	kcfg := microConfig(seed)
 	if touchPricing {
 		kcfg.Costs.MlockPerPage = kcfg.Costs.HeapFaultPerPage
 		kcfg.Costs.MlockBase = 0
 	}
-	k := kernel.New(s, kcfg)
-	env := newAllocEnv(k, KindHermes, "mlock-ablation", nil, nil)
-	defer env.close()
-	s.Advance(10 * simtime.Millisecond)
-	rec := stats.NewRecorder("x")
-	workload.RunMicroBench(k, env.a, workload.MicroBenchConfig{
+	c := NewMicroCell(kcfg, KindHermes, ScenarioDedicated, scale.MicroTotalBytes/4, nil)
+	defer c.Close()
+	c.Sched.Advance(10 * simtime.Millisecond)
+	workload.RunMicroBench(c.Kernel, c.env.a, workload.MicroBenchConfig{
 		RequestSize: 1024,
 		TotalBytes:  scale.MicroTotalBytes / 4,
-	}, rec)
-	return time.Duration(env.hermes.MgmtBusy())
+	}, stats.NewRecorder("x"))
+	return time.Duration(c.env.hermes.MgmtBusy())
 }
 
 // Render prints the comparison and the headline ratio.

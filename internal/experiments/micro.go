@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"github.com/hermes-sim/hermes/internal/core"
-	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/stats"
-	"github.com/hermes-sim/hermes/internal/workload"
 )
 
 // This file regenerates the micro-benchmark artifacts: Figure 3 (Glibc
@@ -16,27 +14,15 @@ import (
 // per-percentile reduction bars).
 
 // runMicroCell runs one (allocator, scenario, request size) micro-benchmark
-// cell, with an optional Hermes configuration override, and returns its
-// latency recorder and the allocator's peak reservation.
+// cell on the paper's testbed, with an optional Hermes configuration
+// override, and returns its latency recorder and the allocator's peak
+// reservation.
 func runMicroCell(kind AllocKind, scenario Scenario, reqSize, totalBytes int64, seed uint64, hermesCfg *core.Config) (*stats.Recorder, int64) {
-	k, s, pressure, env := newMicroCell(kind, scenario, totalBytes, seed, hermesCfg)
-	defer env.close()
-
-	// Let background machinery settle (management thread warm-up,
-	// kswapd's first reaction to the pressure fill).
-	s.Advance(20 * simtime.Millisecond)
-
+	c := NewMicroCell(microConfig(seed), kind, scenario, totalBytes, hermesCfg)
+	defer c.Close()
 	rec := stats.NewRecorder(seriesName(kind, scenario))
-	workload.RunMicroBench(k, env.a, workload.MicroBenchConfig{
-		RequestSize: reqSize,
-		TotalBytes:  totalBytes,
-	}, rec)
-	peak := env.a.Stats().ReservePeak
-	if pressure != nil {
-		pressure.Stop()
-	}
-	k.CheckInvariants()
-	return rec, peak
+	c.Run(reqSize, rec)
+	return rec, c.Allocator().Stats().ReservePeak
 }
 
 // Fig3Result holds the Figure 3 series: Glibc small-request allocation

@@ -33,12 +33,9 @@ func TestMicroBenchHeapAllocs(t *testing.T) {
 	for _, scenario := range AllScenarios {
 		for _, kind := range microKinds {
 			t.Run(seriesName(kind, scenario), func(t *testing.T) {
-				k, s, pressure, env := newMicroCell(kind, scenario, microStreamBytes, 1, nil)
-				if pressure != nil {
-					defer pressure.Stop()
-				}
-				defer env.close()
-				s.Advance(20 * simtime.Millisecond)
+				c := NewMicroCell(microConfig(1), kind, scenario, microStreamBytes, nil)
+				defer c.Close()
+				c.Sched.Advance(20 * simtime.Millisecond)
 				var recs []*stats.Recorder
 				for range 2 {
 					rec := stats.NewRecorder("heap")
@@ -46,7 +43,7 @@ func TestMicroBenchHeapAllocs(t *testing.T) {
 					recs = append(recs, rec)
 				}
 				allocs, bytes := heapPerRun(func() {
-					workload.RunMicroBench(k, env.a, cfg, recs[0])
+					workload.RunMicroBench(c.Kernel, c.env.a, cfg, recs[0])
 					recs = recs[1:]
 				})
 				if per := float64(allocs) / microStreamOps; per > 1.0/16 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/hermes-sim/hermes/internal/monitor"
 	"github.com/hermes-sim/hermes/internal/simtime"
 	"github.com/hermes-sim/hermes/internal/stats"
 	"github.com/hermes-sim/hermes/internal/workload"
@@ -39,50 +38,50 @@ type OverheadResult struct {
 func Overhead(scale Scale, seed uint64) OverheadResult {
 	res := OverheadResult{DaemonMemBytes: 2 << 20}
 	for _, reqSize := range []int64{1024, 256 << 10} {
-		k, s, _, env := newMicroCell(KindHermesNoRec, ScenarioDedicated, scale.MicroTotalBytes, seed, nil)
-		s.Advance(10 * simtime.Millisecond)
+		c := NewMicroCell(microConfig(seed), KindHermesNoRec, ScenarioDedicated, scale.MicroTotalBytes, nil)
+		c.Sched.Advance(10 * simtime.Millisecond)
 		rec := stats.NewRecorder("overhead")
-		workload.RunMicroBench(k, env.a, workload.MicroBenchConfig{
+		workload.RunMicroBench(c.Kernel, c.env.a, workload.MicroBenchConfig{
 			RequestSize: reqSize,
 			TotalBytes:  scale.MicroTotalBytes,
 		}, rec)
-		util := env.hermes.MgmtUtilization(s.Now())
-		peak := env.a.Stats().ReservePeak
+		util := c.env.hermes.MgmtUtilization(c.Sched.Now())
+		peak := c.env.a.Stats().ReservePeak
 		if reqSize == 1024 {
 			res.MgmtCPUSmall, res.ReservedSmall = util, peak
 		} else {
 			res.MgmtCPULarge, res.ReservedLarge = util, peak
 		}
-		env.close()
+		c.Close()
 	}
 
 	// Paced allocation: one 1 KB request every 100 µs (~10 MB/s, a busy
 	// service rather than a saturating benchmark).
 	{
-		_, s, _, env := newMicroCell(KindHermesNoRec, ScenarioDedicated, scale.MicroTotalBytes, seed, nil)
+		c := NewMicroCell(microConfig(seed), KindHermesNoRec, ScenarioDedicated, scale.MicroTotalBytes, nil)
+		s := c.Sched
 		for i := 0; i < 20000; i++ {
-			b, c := env.a.Malloc(s.Now(), 1024)
-			env.a.Touch(s.Now().Add(c), b)
-			env.a.Drop(b)
+			b, cost := c.env.a.Malloc(s.Now(), 1024)
+			c.env.a.Touch(s.Now().Add(cost), b)
+			c.env.a.Drop(b)
 			s.Advance(100 * simtime.Microsecond)
 		}
-		res.MgmtCPUPaced = env.hermes.MgmtUtilization(s.Now())
-		env.close()
+		res.MgmtCPUPaced = c.env.hermes.MgmtUtilization(s.Now())
+		c.Close()
 	}
 
-	// Daemon overhead on a node with batch files to track.
-	k, s := microNode(seed)
-	reg := monitor.NewRegistry()
+	// Daemon overhead on a Hermes node with batch files to track.
+	c := NewMicroCell(microConfig(seed), KindHermes, ScenarioDedicated, scale.MicroTotalBytes, nil)
+	defer c.Close()
+	k, s := c.Kernel, c.Sched
 	batchProc := k.CreateProcess("batch")
-	reg.AddBatch(batchProc.PID)
+	c.env.reg.AddBatch(batchProc.PID)
 	for i := 0; i < 8; i++ {
 		f := k.CreateFile(fmt.Sprintf("ovh-%d", i), (1<<30)/k.PageSize(), batchProc.PID)
 		k.ReadFile(s.Now(), f, f.SizePages())
 	}
-	d := monitor.NewDaemon(k, reg, monitor.DefaultConfig())
 	s.Advance(10 * simtime.Second)
-	res.DaemonCPU = d.Utilization(s.Now())
-	d.Stop()
+	res.DaemonCPU = c.env.daemon.Utilization(s.Now())
 	return res
 }
 

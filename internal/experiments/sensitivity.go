@@ -16,6 +16,17 @@ import (
 // SensitivityFactors is the paper's sweep.
 var SensitivityFactors = []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0}
 
+// SensitivityConfig is the §5.4 study's Hermes configuration for one
+// RSV_FACTOR. min_rsv would dominate the micro-benchmark's per-interval
+// demand and mask the factor, so the study lowers it and RSV_FACTOR
+// governs the reserve.
+func SensitivityConfig(factor float64) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.ReservationFactor = factor
+	cfg.MinReserve = 256 << 10
+	return cfg
+}
+
 // SensitivityResult holds one figure's data: reduction (%) per factor per
 // percentile key, for each scenario, plus the reserve peaks for the
 // memory-wastage discussion.
@@ -42,12 +53,7 @@ func runSensitivity(figure string, reqSize int64, scale Scale, seed uint64) Sens
 		rows := make([]map[string]float64, 0, len(SensitivityFactors))
 		peaks := make([]int64, 0, len(SensitivityFactors))
 		for _, factor := range SensitivityFactors {
-			cfg := core.DefaultConfig()
-			cfg.ReservationFactor = factor
-			// min_rsv would dominate the micro-benchmark's per-interval
-			// demand and mask the factor; the sensitivity study lowers it
-			// so RSV_FACTOR actually governs the reserve.
-			cfg.MinReserve = 256 << 10
+			cfg := SensitivityConfig(factor)
 			rec, peak := runMicroCell(KindHermes, scenario, reqSize, scale.MicroTotalBytes, seed, &cfg)
 			hermes := rec.Summarize()
 			row := make(map[string]float64, len(stats.PercentileKeys))

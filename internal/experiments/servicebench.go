@@ -42,11 +42,12 @@ func SizeLabel(recordBytes int64) string {
 	return "large"
 }
 
-// serviceCell is one (allocator, pressure level) run's recorders.
-type serviceCell struct {
-	total  *stats.Recorder
-	insert *stats.Recorder
-	read   *stats.Recorder
+// ServiceCell is one (allocator, pressure level) run's recorders.
+type ServiceCell struct {
+	// Total is the whole query latency; Insert and Read are its parts.
+	Total  *stats.Recorder
+	Insert *stats.Recorder
+	Read   *stats.Recorder
 }
 
 // newService builds the service under test on the given allocator.
@@ -65,10 +66,10 @@ func newService(k *kernel.Kernel, kind ServiceKind, env *allocEnv, scale Scale, 
 	}
 }
 
-// runServiceCell co-locates the service with batch jobs at the given
+// RunServiceCell co-locates the service with batch jobs at the given
 // pressure level and drives insert+read queries until the dataset reaches
 // the scale's insert volume.
-func runServiceCell(svcKind ServiceKind, allocKind AllocKind, level float64, recordBytes int64, scale Scale, seed uint64) serviceCell {
+func RunServiceCell(svcKind ServiceKind, allocKind AllocKind, level float64, recordBytes int64, scale Scale, seed uint64) ServiceCell {
 	k, s := serviceNode(scale, seed)
 
 	var runner *batch.Runner
@@ -94,18 +95,18 @@ func runServiceCell(svcKind ServiceKind, allocKind AllocKind, level float64, rec
 	// Let the batch ramp and the management thread warm up.
 	s.Advance(2 * simtime.Second)
 
-	cell := serviceCell{
-		total:  stats.NewRecorder(fmt.Sprintf("%s@%d%%", allocKind, int(level*100))),
-		insert: stats.NewRecorder("insert"),
-		read:   stats.NewRecorder("read"),
+	cell := ServiceCell{
+		Total:  stats.NewRecorder(fmt.Sprintf("%s@%d%%", allocKind, int(level*100))),
+		Insert: stats.NewRecorder("insert"),
+		Read:   stats.NewRecorder("read"),
 	}
 	var key int64
 	for svc.StoredBytes() < scale.ServiceInsertBytes {
 		key++
 		total, ins, rd := svc.Query(key, recordBytes)
-		cell.total.Record(total)
-		cell.insert.Record(ins)
-		cell.read.Record(rd)
+		cell.Total.Record(total)
+		cell.Insert.Record(ins)
+		cell.Read.Record(rd)
 	}
 	if runner != nil {
 		runner.Stop()
@@ -121,7 +122,7 @@ type ServiceSweep struct {
 	RecordBytes int64
 	Levels      []float64
 	// Cells is indexed [allocator][level index].
-	Cells map[AllocKind][]serviceCell
+	Cells map[AllocKind][]ServiceCell
 	// SLO is the Glibc-dedicated p90, the paper's SLO definition.
 	SLO time.Duration
 }
@@ -132,27 +133,27 @@ func RunServiceSweep(svcKind ServiceKind, recordBytes int64, scale Scale, seed u
 		Service:     svcKind,
 		RecordBytes: recordBytes,
 		Levels:      PressureLevels,
-		Cells:       make(map[AllocKind][]serviceCell),
+		Cells:       make(map[AllocKind][]ServiceCell),
 	}
 	for _, kind := range AllAllocKinds {
-		cells := make([]serviceCell, 0, len(sweep.Levels))
+		cells := make([]ServiceCell, 0, len(sweep.Levels))
 		for _, level := range sweep.Levels {
-			cells = append(cells, runServiceCell(svcKind, kind, level, recordBytes, scale, seed))
+			cells = append(cells, RunServiceCell(svcKind, kind, level, recordBytes, scale, seed))
 		}
 		sweep.Cells[kind] = cells
 	}
-	sweep.SLO = sweep.Cells[KindGlibc][0].total.Percentile(90)
+	sweep.SLO = sweep.Cells[KindGlibc][0].Total.Percentile(90)
 	return sweep
 }
 
 // P90 returns the p90 latency for the allocator at the level index.
 func (sw ServiceSweep) P90(kind AllocKind, levelIdx int) time.Duration {
-	return sw.Cells[kind][levelIdx].total.Percentile(90)
+	return sw.Cells[kind][levelIdx].Total.Percentile(90)
 }
 
 // Violation returns the SLO-violation ratio (Figures 13, 14).
 func (sw ServiceSweep) Violation(kind AllocKind, levelIdx int) float64 {
-	return sw.Cells[kind][levelIdx].total.ViolationRatio(sw.SLO)
+	return sw.Cells[kind][levelIdx].Total.ViolationRatio(sw.SLO)
 }
 
 // ViolationReduction returns Hermes' best-case SLO-violation reduction vs
@@ -241,7 +242,7 @@ func (sw ServiceSweep) RenderTailCDF(figure string) string {
 	for _, kind := range AllAllocKinds {
 		name := string(kind)
 		order = append(order, name)
-		series[name] = sw.Cells[kind][levelIdx].total.TailCDF(0.90, 40)
+		series[name] = sw.Cells[kind][levelIdx].Total.TailCDF(0.90, 40)
 	}
 	b.WriteString(stats.RenderCDFTable(
 		fmt.Sprintf("%s: %s %s requests @100%% pressure — tail latency CDF",

@@ -28,8 +28,8 @@ func Fig2(scale Scale, seed uint64) Fig2Result {
 		Large: make(map[string]float64),
 	}
 	for _, recordBytes := range []int64{SmallRecordBytes, LargeRecordBytes} {
-		cell := runServiceCell(ServiceRocksdb, KindGlibc, 0, recordBytes, scale, seed)
-		ins, rd := cell.insert.Summarize(), cell.read.Summarize()
+		cell := RunServiceCell(ServiceRocksdb, KindGlibc, 0, recordBytes, scale, seed)
+		ins, rd := cell.Insert.Summarize(), cell.Read.Summarize()
 		out := res.Small
 		if recordBytes == LargeRecordBytes {
 			out = res.Large

@@ -16,6 +16,7 @@ import (
 	"github.com/hermes-sim/hermes/internal/kernel"
 	"github.com/hermes-sim/hermes/internal/monitor"
 	"github.com/hermes-sim/hermes/internal/simtime"
+	"github.com/hermes-sim/hermes/internal/stats"
 	"github.com/hermes-sim/hermes/internal/workload"
 )
 
@@ -67,13 +68,12 @@ func QuickScale() Scale {
 	}
 }
 
-// microNode builds the paper's testbed for micro-benchmarks: 128 GB DRAM,
-// 64 GB HDD swap.
-func microNode(seed uint64) (*kernel.Kernel, *simtime.Scheduler) {
-	s := simtime.NewScheduler()
+// microConfig is the paper's testbed for micro-benchmarks, seeded: 128 GB
+// DRAM, 64 GB HDD swap.
+func microConfig(seed uint64) kernel.Config {
 	cfg := kernel.DefaultConfig()
 	cfg.Seed = seed
-	return kernel.New(s, cfg), s
+	return cfg
 }
 
 // serviceNode builds the scaled node for service/batch experiments.
@@ -164,15 +164,16 @@ const (
 // AllScenarios is the Figure 7/8 scenario sweep.
 var AllScenarios = []Scenario{ScenarioDedicated, ScenarioAnon, ScenarioFile}
 
-// startPressure launches the scenario's pressure generator (nil for a
-// dedicated system). The residual free buffer scales with the benchmark's
-// total demand so shrunken test runs drain it and reach the reclaim-backed
-// regime just as the paper-sized runs do (300 MB for the 1 GB benchmark).
-func startPressure(k *kernel.Kernel, scenario Scenario, benchBytes int64) *workload.Pressure {
+// MicroPressure returns the scenario's Figure 3 pressure generator, or
+// ok=false on a dedicated system. The residual free buffer scales with the
+// benchmark's total demand so shrunken runs drain it and reach the
+// reclaim-backed regime just as the paper-sized runs do (300 MB for the
+// 1 GB benchmark).
+func MicroPressure(scenario Scenario, benchBytes int64) (cfg workload.PressureConfig, ok bool) {
 	var kind workload.PressureKind
 	switch scenario {
 	case ScenarioDedicated:
-		return nil
+		return workload.PressureConfig{}, false
 	case ScenarioAnon:
 		kind = workload.PressureAnon
 	case ScenarioFile:
@@ -180,28 +181,70 @@ func startPressure(k *kernel.Kernel, scenario Scenario, benchBytes int64) *workl
 	default:
 		panic(fmt.Sprintf("experiments: unknown scenario %q", scenario))
 	}
-	cfg := workload.DefaultPressureConfig(kind)
+	cfg = workload.DefaultPressureConfig(kind)
 	cfg.FreeBytes = int64(float64(cfg.FreeBytes) * float64(benchBytes) / float64(1<<30))
 	if cfg.FreeBytes < 4<<20 {
 		cfg.FreeBytes = 4 << 20
 	}
-	return workload.StartPressure(k, cfg)
+	return cfg, true
 }
 
-// newMicroCell sets up one micro-benchmark cell: the paper's testbed, the
-// scenario's pressure generator sized to benchBytes (nil on a dedicated
-// system) and the allocator under test, with the generator's process
-// registered as a batch co-tenant the monitor daemon may reclaim from.
-// hermesCfg optionally overrides the Hermes configuration. Warm-up is the
-// caller's.
-func newMicroCell(kind AllocKind, scenario Scenario, benchBytes int64, seed uint64, hermesCfg *core.Config) (*kernel.Kernel, *simtime.Scheduler, *workload.Pressure, *allocEnv) {
-	k, s := microNode(seed)
-	pressure := startPressure(k, scenario, benchBytes)
+// MicroCell is one §5.2 micro-benchmark cell: a node booted from a kernel
+// config, the scenario's pressure generator sized to the benchmark (none on
+// a dedicated system) and the allocator under test, with the generator's
+// process registered as a batch co-tenant the monitor daemon may reclaim
+// from.
+type MicroCell struct {
+	Kernel     *kernel.Kernel
+	Sched      *simtime.Scheduler
+	pressure   *workload.Pressure
+	env        *allocEnv
+	benchBytes int64
+}
+
+// NewMicroCell sets up a cell for a benchmark of benchBytes. hermesCfg
+// optionally overrides the Hermes configuration. Run drives the paper's
+// benchmark; callers with their own request loop warm up themselves.
+func NewMicroCell(kcfg kernel.Config, kind AllocKind, scenario Scenario, benchBytes int64, hermesCfg *core.Config) *MicroCell {
+	s := simtime.NewScheduler()
+	c := &MicroCell{Kernel: kernel.New(s, kcfg), Sched: s, benchBytes: benchBytes}
 	var batchPIDs []kernel.PID
-	if pressure != nil {
-		batchPIDs = []kernel.PID{pressure.PID()}
+	if pcfg, ok := MicroPressure(scenario, benchBytes); ok {
+		c.pressure = workload.StartPressure(c.Kernel, pcfg)
+		batchPIDs = []kernel.PID{c.pressure.PID()}
 	}
-	return k, s, pressure, newAllocEnv(k, kind, "microbench", batchPIDs, hermesCfg)
+	c.env = newAllocEnv(c.Kernel, kind, "microbench", batchPIDs, hermesCfg)
+	return c
+}
+
+// Allocator is the allocator under test.
+func (c *MicroCell) Allocator() alloc.Allocator { return c.env.a }
+
+// Run lets background machinery settle (management thread warm-up,
+// kswapd's first reaction to the pressure fill), drives benchBytes of
+// reqSize mallocs into rec, stops the pressure and checks the kernel's
+// invariants.
+func (c *MicroCell) Run(reqSize int64, rec *stats.Recorder) {
+	c.Sched.Advance(20 * simtime.Millisecond)
+	workload.RunMicroBench(c.Kernel, c.env.a, workload.MicroBenchConfig{
+		RequestSize: reqSize,
+		TotalBytes:  c.benchBytes,
+	}, rec)
+	c.stopPressure()
+	c.Kernel.CheckInvariants()
+}
+
+// Close stops the pressure, the daemon and the allocator.
+func (c *MicroCell) Close() {
+	c.stopPressure()
+	c.env.close()
+}
+
+func (c *MicroCell) stopPressure() {
+	if c.pressure != nil {
+		c.pressure.Stop()
+		c.pressure = nil
+	}
 }
 
 // seriesName renders the paper's curve labels ("Hermes+anon", "Glibc").

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/hermes-sim/hermes/internal/simtime"
 )
@@ -35,25 +34,6 @@ func (k *Kernel) Files() []*File {
 	for _, f := range k.files {
 		out = append(out, f)
 	}
-	return out
-}
-
-// FilesOwnedBy returns the files tagged with the given owner PID, sorted by
-// descending size, names breaking ties. It scans every file, so callers
-// asking about many PIDs should make one pass over Files instead.
-func (k *Kernel) FilesOwnedBy(pid PID) []*File {
-	var out []*File
-	for _, f := range k.files {
-		if f.OwnerPID == pid {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].sizePages != out[j].sizePages {
-			return out[i].sizePages > out[j].sizePages
-		}
-		return out[i].Name < out[j].Name
-	})
 	return out
 }
 

@@ -116,23 +116,6 @@ func TestDeleteFileDropsCacheWithoutWriteback(t *testing.T) {
 	k.CheckInvariants()
 }
 
-func TestFilesOwnedByLargestFirst(t *testing.T) {
-	k, _ := newTestKernel(t, smallConfig())
-	p := k.CreateProcess("batch")
-	other := k.CreateProcess("other")
-	k.CreateFile("a.dat", 100, p.PID)
-	k.CreateFile("b.dat", 300, p.PID)
-	k.CreateFile("c.dat", 200, p.PID)
-	k.CreateFile("x.dat", 999, other.PID)
-	files := k.FilesOwnedBy(p.PID)
-	if len(files) != 3 {
-		t.Fatalf("len = %d, want 3", len(files))
-	}
-	if files[0].Name != "b.dat" || files[1].Name != "c.dat" || files[2].Name != "a.dat" {
-		t.Fatalf("order = %s,%s,%s; want largest-first", files[0].Name, files[1].Name, files[2].Name)
-	}
-}
-
 func TestDuplicateFilePanics(t *testing.T) {
 	k, _ := newTestKernel(t, smallConfig())
 	p := k.CreateProcess("x")

@@ -171,7 +171,9 @@ func (k *Kernel) releaseRegion(r *Region, pages int64) {
 
 // FaultIn maps n never-touched pages of the region (first-touch minor
 // faults): the on-demand virtual-physical mapping construction of §2.1.
-// perPage selects the heap or mmap fault cost.
+// perPage selects the heap or mmap fault cost. When the OOM policy that
+// the allocation invoked killed the faulting process itself, the pages go
+// back to the free pool and nothing is mapped.
 func (k *Kernel) FaultIn(at simtime.Time, r *Region, n int64) simtime.Duration {
 	k.mustLiveRegion(r)
 	if n <= 0 {
@@ -181,6 +183,10 @@ func (k *Kernel) FaultIn(at simtime.Time, r *Region, n int64) simtime.Duration {
 		panic(fmt.Sprintf("kernel: fault-in %d pages but only %d untouched in region %d", n, r.Untouched(), r.ID))
 	}
 	cost := k.allocPages(at, n)
+	if r.dead || r.Proc.dead {
+		k.freePagesBack(n)
+		return cost
+	}
 	perPage := k.cfg.Costs.MmapFaultPerPage
 	if r.Kind == RegionHeap {
 		perPage = k.cfg.Costs.HeapFaultPerPage

@@ -63,13 +63,6 @@ func TestRegistrySets(t *testing.T) {
 	if !r.IsBatch(2) || !r.IsBatch(3) || r.IsBatch(1) {
 		t.Fatal("batch set wrong")
 	}
-	if got := len(r.BatchPIDs()); got != 2 {
-		t.Fatalf("batch pids = %d, want 2", got)
-	}
-	r.RemoveBatch(2)
-	if r.IsBatch(2) {
-		t.Fatal("remove batch failed")
-	}
 	r.RemoveLatencyCritical(1)
 	if r.IsLatencyCritical(1) || r.LatencyCriticalCount() != 0 {
 		t.Fatal("remove latency-critical failed")
@@ -222,15 +215,33 @@ type advice struct {
 	released int64
 }
 
+// filesOwnedBy returns the files tagged with the given owner PID, sorted by
+// descending size, names breaking ties.
+func filesOwnedBy(k *kernel.Kernel, pid kernel.PID) []*kernel.File {
+	var out []*kernel.File
+	for _, f := range k.Files() {
+		if f.OwnerPID == pid {
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].SizePages() != out[j].SizePages() {
+			return out[i].SizePages() > out[j].SizePages()
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
+}
+
 // referenceTick is the exactness oracle for Daemon.tick, the literal per-PID
-// scan: it gathers the batch files PID by PID with FilesOwnedBy, and
+// scan: it gathers the batch files PID by PID with filesOwnedBy, and
 // recomputes the batch cache the same way before every file. It logs each
 // advise call to log.
 func referenceTick(k *kernel.Kernel, reg *Registry, cfg Config, st *Stats, log *[]advice) func(simtime.Time) simtime.Duration {
 	batchCachedPages := func() int64 {
 		var n int64
-		for _, pid := range reg.BatchPIDs() {
-			for _, f := range k.FilesOwnedBy(pid) {
+		for pid := range reg.batch {
+			for _, f := range filesOwnedBy(k, pid) {
 				n += f.CachedPages()
 			}
 		}
@@ -243,8 +254,8 @@ func referenceTick(k *kernel.Kernel, reg *Registry, cfg Config, st *Stats, log *
 			return busy
 		}
 		var files []*kernel.File
-		for _, pid := range reg.BatchPIDs() {
-			files = append(files, k.FilesOwnedBy(pid)...)
+		for pid := range reg.batch {
+			files = append(files, filesOwnedBy(k, pid)...)
 		}
 		sort.Slice(files, func(i, j int) bool {
 			if files[i].CachedPages() != files[j].CachedPages() {
@@ -339,7 +350,7 @@ func (n *oracleNode) churn(round int, rng *rand.Rand) {
 	n.k.DeleteFile(n.files[i])
 	n.files[i] = n.createFile(rng, fmt.Sprintf("round-%03d.dat", round))
 	n.reg.AddBatch(n.pids[rng.IntN(len(n.pids))])
-	n.reg.RemoveBatch(n.pids[rng.IntN(len(n.pids))])
+	delete(n.reg.batch, n.pids[rng.IntN(len(n.pids))])
 	if rng.IntN(4) == 0 {
 		n.reg.AddBatch(kernel.PID(100000 + round))
 	}

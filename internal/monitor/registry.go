@@ -38,20 +38,8 @@ func (r *Registry) IsLatencyCritical(pid kernel.PID) bool { return r.latencyCrit
 // released.
 func (r *Registry) AddBatch(pid kernel.PID) { r.batch[pid] = true }
 
-// RemoveBatch unregisters a batch job.
-func (r *Registry) RemoveBatch(pid kernel.PID) { delete(r.batch, pid) }
-
 // IsBatch reports whether pid is registered as a batch job.
 func (r *Registry) IsBatch(pid kernel.PID) bool { return r.batch[pid] }
-
-// BatchPIDs returns the registered batch jobs (order unspecified).
-func (r *Registry) BatchPIDs() []kernel.PID {
-	out := make([]kernel.PID, 0, len(r.batch))
-	for pid := range r.batch {
-		out = append(out, pid)
-	}
-	return out
-}
 
 // LatencyCriticalCount returns the number of registered services.
 func (r *Registry) LatencyCriticalCount() int { return len(r.latencyCritical) }
