@@ -117,7 +117,10 @@ func runDiff(oldPath, newPath string, gatePct float64) error {
 	if err != nil {
 		return err
 	}
-	text, regressed := campaign.Diff(oldRep, newRep, gatePct)
+	text, regressed, err := campaign.Diff(oldRep, newRep, gatePct)
+	if err != nil {
+		return fmt.Errorf("cannot compare %s with %s: %w", oldPath, newPath, err)
+	}
 	fmt.Print(text)
 	if regressed {
 		return fmt.Errorf("regression beyond the %.1f%% gate", gatePct)

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,6 +55,36 @@ func TestRunDiffRejectsBadGate(t *testing.T) {
 	for _, g := range []float64{0, 5, 1e300} {
 		if err := runDiff("missing-old.json", "missing-new.json", g); !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("-gate-pct %v: got %v, want the missing old report", g, err)
+		}
+	}
+}
+
+// TestRunDiffRefusesOtherScale: the committed report diffs against itself,
+// while the same report at another scale is refused by name, in both
+// directions, before any group is compared.
+func TestRunDiffRefusesOtherScale(t *testing.T) {
+	const committed = "../../examples/campaigns/adaptive-sweep-report.json"
+	if err := runDiff(committed, committed, 5); err != nil {
+		t.Fatalf("self-diff of %s: %v", committed, err)
+	}
+	rep, err := readReport(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Scale = 0.05
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(t.TempDir(), "other-scale.json")
+	if err := os.WriteFile(other, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]string{{committed, other}, {other, committed}} {
+		err := runDiff(pair[0], pair[1], 5)
+		if err == nil || !strings.Contains(err.Error(), "scale differs") ||
+			!strings.Contains(err.Error(), "0.2") || !strings.Contains(err.Error(), "0.05") {
+			t.Errorf("-diff %s %s: got %v, want a scale mismatch naming 0.2 and 0.05", pair[0], pair[1], err)
 		}
 	}
 }

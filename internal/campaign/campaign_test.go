@@ -290,7 +290,10 @@ func TestDiff(t *testing.T) {
 	}
 
 	t.Run("identical reports pass", func(t *testing.T) {
-		out, bad := Diff(base(), base(), 5)
+		out, bad, err := Diff(base(), base(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if bad {
 			t.Fatalf("identical reports flagged as regression:\n%s", out)
 		}
@@ -299,7 +302,10 @@ func TestDiff(t *testing.T) {
 	t.Run("p99 regression flagged", func(t *testing.T) {
 		nr := base()
 		nr.Groups[0].P99 = Estimate{Median: 130e3, Lo: 125e3, Hi: 135e3}
-		out, bad := Diff(base(), nr, 5)
+		out, bad, err := Diff(base(), nr, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bad {
 			t.Fatalf("+30%% p99 above the old CI not flagged:\n%s", out)
 		}
@@ -312,7 +318,10 @@ func TestDiff(t *testing.T) {
 		nr := base()
 		// +2% and inside the old CI: both bars must be crossed to flag.
 		nr.Groups[0].P99 = Estimate{Median: 102e3, Lo: 98e3, Hi: 106e3}
-		out, bad := Diff(base(), nr, 5)
+		out, bad, err := Diff(base(), nr, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if bad {
 			t.Fatalf("+2%% p99 inside the gate flagged:\n%s", out)
 		}
@@ -321,7 +330,10 @@ func TestDiff(t *testing.T) {
 	t.Run("compliance regression flagged", func(t *testing.T) {
 		nr := base()
 		nr.Groups[0].Compliance = Estimate{Median: 0.90, Lo: 0.89, Hi: 0.91}
-		out, bad := Diff(base(), nr, 5)
+		out, bad, err := Diff(base(), nr, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bad {
 			t.Fatalf("9-point compliance drop not flagged:\n%s", out)
 		}
@@ -333,7 +345,10 @@ func TestDiff(t *testing.T) {
 	t.Run("missing group flagged", func(t *testing.T) {
 		nr := base()
 		nr.Groups[0].ID = "zipf=2.0"
-		out, bad := Diff(base(), nr, 5)
+		out, bad, err := Diff(base(), nr, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bad {
 			t.Fatal("vanished baseline group not flagged")
 		}
@@ -341,6 +356,37 @@ func TestDiff(t *testing.T) {
 			t.Errorf("diff text missing group-set lines:\n%s", out)
 		}
 	})
+
+	// Reports of another campaign, scale or grid are refused before any
+	// group is compared, with the field and both values named.
+	for _, tc := range []struct {
+		field  string
+		change func(*Report)
+		want   []string
+	}{
+		{"name", func(r *Report) { r.Name = "other" }, []string{"name differs", `"base"`, `"other"`}},
+		{"scale", func(r *Report) { r.Scale = 0.02 }, []string{"scale differs", "0.05 (old)", "0.02 (new)"}},
+		{"axes", func(r *Report) { r.Axes.Zipf = []float64{1.1, 1.3} }, []string{"axes differ", "Zipf:[1.1]", "Zipf:[1.1 1.3]"}},
+	} {
+		t.Run(tc.field+" mismatch refused", func(t *testing.T) {
+			or, nr := base(), base()
+			or.Scale, nr.Scale = 0.05, 0.05
+			or.Axes.Zipf, nr.Axes.Zipf = []float64{1.1}, []float64{1.1}
+			tc.change(nr)
+			out, bad, err := Diff(or, nr, 5)
+			if err == nil {
+				t.Fatalf("%s mismatch not refused (regressed=%v):\n%s", tc.field, bad, out)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not contain %q", err, w)
+				}
+			}
+			if out != "" || bad {
+				t.Errorf("refused diff still compared groups (regressed=%v):\n%s", bad, out)
+			}
+		})
+	}
 }
 
 func TestAggregateDeterministic(t *testing.T) {

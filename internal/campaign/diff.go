@@ -12,8 +12,17 @@ import (
 // when it exceeds gatePct percentage points AND lands below the old CI
 // lower bound. Crossing both bars separates a real shift from seed noise.
 //
+// Reports of another campaign, at another scale or over other axes are
+// not comparable: a group's p99 at 0.02 of a scenario is not a regression
+// against the same group at 0.05. Diff then returns an error naming the
+// first of those fields that differs, with both values, and compares no
+// group.
+//
 // Returns the human-readable diff and whether any regression was flagged.
-func Diff(old, new *Report, gatePct float64) (string, bool) {
+func Diff(old, new *Report, gatePct float64) (string, bool, error) {
+	if err := checkComparable(old, new); err != nil {
+		return "", false, err
+	}
 	var b strings.Builder
 	regressed := false
 	fmt.Fprintf(&b, "campaign diff: %q → %q (gate %.1f%%)\n", old.Name, new.Name, gatePct)
@@ -50,7 +59,22 @@ func Diff(old, new *Report, gatePct float64) (string, bool) {
 			fmt.Fprintf(&b, "  %-40s  new group (no baseline)\n", id)
 		}
 	}
-	return b.String(), regressed
+	return b.String(), regressed, nil
+}
+
+// checkComparable returns an error naming the first of name, scale and
+// axes on which old and new differ.
+func checkComparable(old, new *Report) error {
+	if old.Name != new.Name {
+		return fmt.Errorf("name differs: %q (old) vs %q (new)", old.Name, new.Name)
+	}
+	if old.Scale != new.Scale {
+		return fmt.Errorf("scale differs: %v (old) vs %v (new)", old.Scale, new.Scale)
+	}
+	if oa, na := fmt.Sprintf("%+v", old.Axes), fmt.Sprintf("%+v", new.Axes); oa != na {
+		return fmt.Errorf("axes differ: %s (old) vs %s (new)", oa, na)
+	}
+	return nil
 }
 
 // p99Regressed applies the two-sided gate to a latency estimate (higher is

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -97,6 +96,46 @@ func TestSortSamplesMatchesOracle(t *testing.T) {
 		"n=1<<16":    gen(1<<16, random),
 		"few-values": gen(1<<16, func(int) time.Duration { return time.Duration(rng.IntN(7)) * time.Microsecond }),
 		"wide":       gen(1<<16, func(int) time.Duration { return time.Duration(rng.Int64N(math.MaxInt64)) }),
+
+		// The counting window: slices of countCutoff or more samples count
+		// those in [lo, lo+countWindow) and radix-sort the rest.
+		"window-all": gen(1<<15, func(int) time.Duration { return 5*time.Microsecond + time.Duration(rng.IntN(countWindow)) }),
+		"window-edges": gen(countCutoff, func(i int) time.Duration {
+			// lo itself, then the window's last value and the first two
+			// beyond it, 100 samples in all: the rest is slices.Sort's.
+			edge := [...]time.Duration{0, countWindow - 1, countWindow, countWindow + 1}
+			if i < 100 {
+				return 3000 + edge[i%4]
+			}
+			return 3000 + time.Duration(rng.IntN(countWindow))
+		}),
+		"window-63pct": gen(1<<16, func(i int) time.Duration {
+			// brownout's shape: 63% within the window, the rest to 1 s.
+			const lo = 200 * time.Microsecond
+			switch {
+			case i == 0:
+				return lo
+			case rng.IntN(100) < 63:
+				return lo + time.Duration(rng.IntN(countWindow))
+			}
+			return lo + countWindow + time.Duration(rng.Int64N(int64(time.Second)))
+		}),
+		"window-micro-cell": gen(1<<16, func(i int) time.Duration {
+			// A Fig 7 cell: a 2 µs minimum, 99% within 32 µs, rare spikes.
+			switch {
+			case i == 0:
+				return 2 * time.Microsecond
+			case rng.IntN(4096) == 0:
+				return time.Millisecond + time.Duration(rng.Int64N(int64(3*time.Millisecond)))
+			case rng.IntN(100) == 0:
+				return 40*time.Microsecond + time.Duration(rng.Int64N(int64(60*time.Microsecond)))
+			}
+			return 2*time.Microsecond + time.Duration(min(rng.ExpFloat64()*1500, 30_000))
+		}),
+		"window-max-int64": gen(countCutoff, func(int) time.Duration { return math.MaxInt64 - time.Duration(rng.IntN(countWindow/2)) }),
+		"window-below-cutoff": gen(countCutoff-1, func(int) time.Duration {
+			return 2*time.Microsecond + time.Duration(rng.IntN(countWindow))
+		}),
 	}
 	for name, samples := range cases {
 		t.Run(name, func(t *testing.T) { checkAgainstOracle(t, samples) })
@@ -166,7 +205,8 @@ func TestPercentileNaN(t *testing.T) {
 // fuzzSamples decodes a fuzz input into samples: the 8-byte words of raw
 // followed by n generated ones, width random bits shifted left by shift, so
 // the fuzzer can steer duplicates and which bytes differ. The sign bit is
-// cleared, as Record guarantees.
+// cleared, as Record guarantees. n is taken modulo 2^14, which must stay
+// above countCutoff so that generated samples reach the counting window.
 func fuzzSamples(raw []byte, seed uint64, n uint16, width, shift uint8) []time.Duration {
 	var xs []time.Duration
 	for ; len(raw) >= 8; raw = raw[8:] {
@@ -204,7 +244,9 @@ func FuzzSortSamples(f *testing.F) {
 // merged-* seeds split thousands of samples across 3, 6 and 8 runs, and
 // the zero-heavy seeds split 4,000 zeros (all-zero-8-runs) and 512 samples
 // 96.5% zero, like a flat-8n node's queue waits (zero-97pct-8-runs),
-// across 8 runs.
+// across 8 runs, and the count-window-* seeds sort 16,383 samples in one
+// recorder through the counting window: all of them inside it (width 15),
+// about half (width 16), or one distinct value per window (shift 16).
 func FuzzMergeRuns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, n uint16, width, shift uint8) {
 		k := 1
@@ -248,7 +290,11 @@ var summarySink Summary
 
 // BenchmarkRecorderSummarize times Summarize on a freshly filled raw
 // recorder — dominated by the sort — at flat-8n's shard (2M/128), node
-// (2M/8) and cluster (2M) digest sizes. The runs=128 case is flat-8n's
+// (2M/8) and cluster (2M) digest sizes. The micro case is one micro-fig7
+// cell's shape: 524,288 samples from a 2 µs minimum, 99% of them within
+// the counting window, 1% at 40–100 µs and one in 4,096 at 1–4 ms. The
+// wide case, uniform over 1 s, is the shape the window cannot help: almost
+// no sample falls in it. The runs=128 case is flat-8n's
 // cluster digest as finish builds it: 128 sorted shard runs of 15,625
 // samples merged into one recorder, so Summarize selects across the runs
 // instead of sorting. The wait case is one flat-8n node's queue-wait
@@ -256,18 +302,42 @@ var summarySink Summary
 // a fresh recorder each iteration, so the zeros take the counted path and
 // the timing and B/op cover recording as well as the sort.
 func BenchmarkRecorderSummarize(b *testing.B) {
-	exp := func(rng *rand.Rand, n int) []time.Duration {
+	gen := func(rng *rand.Rand, n int, f func(*rand.Rand) time.Duration) []time.Duration {
 		xs := make([]time.Duration, n)
 		for i := range xs {
-			xs[i] = 20*time.Microsecond + time.Duration(rng.ExpFloat64()*float64(80*time.Microsecond))
+			xs[i] = f(rng)
 		}
 		return xs
 	}
-	for _, n := range []int{15_625, 250_000, 2_000_000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			src := exp(rand.New(rand.NewPCG(9, uint64(n))), n)
+	exp := func(rng *rand.Rand) time.Duration {
+		return 20*time.Microsecond + time.Duration(rng.ExpFloat64()*float64(80*time.Microsecond))
+	}
+	micro := func(rng *rand.Rand) time.Duration {
+		switch {
+		case rng.IntN(4096) == 0:
+			return time.Millisecond + time.Duration(rng.Int64N(int64(3*time.Millisecond)))
+		case rng.IntN(100) == 0:
+			return 40*time.Microsecond + time.Duration(rng.Int64N(int64(60*time.Microsecond)))
+		}
+		return 2*time.Microsecond + time.Duration(min(rng.ExpFloat64()*1500, 30_000))
+	}
+	wide := func(rng *rand.Rand) time.Duration { return time.Duration(rng.Int64N(int64(time.Second))) }
+	sorts := []struct {
+		name string
+		n    int
+		f    func(*rand.Rand) time.Duration
+	}{
+		{"n=15625", 15_625, exp},
+		{"n=250000", 250_000, exp},
+		{"n=2000000", 2_000_000, exp},
+		{"micro,n=524288", 524_288, micro},
+		{"wide,n=1048576", 1_048_576, wide},
+	}
+	for _, c := range sorts {
+		b.Run(c.name, func(b *testing.B) {
+			src := gen(rand.New(rand.NewPCG(9, uint64(c.n))), c.n, c.f)
 			r := NewRecorder("bench")
-			r.samples = make([]time.Duration, 0, n)
+			r.samples = make([]time.Duration, 0, c.n)
 			for _, d := range src {
 				r.Record(d)
 			}
@@ -283,7 +353,7 @@ func BenchmarkRecorderSummarize(b *testing.B) {
 	}
 	b.Run("wait,n=250000", func(b *testing.B) {
 		rng := rand.New(rand.NewPCG(9, 97))
-		src := exp(rng, 250_000)
+		src := gen(rng, 250_000, exp)
 		for i := range src {
 			if rng.IntN(100) < 97 {
 				src[i] = 0
@@ -303,7 +373,7 @@ func BenchmarkRecorderSummarize(b *testing.B) {
 		shards := make([]*Recorder, 128)
 		for j := range shards {
 			shards[j] = NewRecorder("shard")
-			for _, d := range exp(rng, 15_625) {
+			for _, d := range gen(rng, 15_625, exp) {
 				shards[j].Record(d)
 			}
 			shards[j].Sort()
